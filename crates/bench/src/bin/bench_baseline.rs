@@ -471,7 +471,10 @@ fn run_checkpoint_section(config: &PolicyConfig, w: &Workload, reps: usize) -> C
         .collect();
     let capture_secs = TimingStats::from_samples(&mut capture_samples).median_secs;
     let checkpoint = engine.checkpoint().expect("policy supports checkpoints");
-    let encoded_bytes = checkpoint.encode().len();
+    let encoded_bytes = checkpoint
+        .encode()
+        .expect("bench checkpoints fit the format")
+        .len();
     let dir = checkpoint_scratch_dir();
     let mut store =
         tin_core::checkpoint::CheckpointStore::open(&dir).expect("scratch dir is writable");

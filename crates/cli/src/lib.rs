@@ -1353,8 +1353,10 @@ mod tests {
 
     const TRACE: &str = "src,dst,time,qty\nexchange,alice,1,100\nalice,bob,2,60\nbob,carol,3,30\nmallory,carol,4,5\n";
 
-    fn write_trace() -> std::path::PathBuf {
-        let path = temp_path("trace.csv");
+    /// Write [`TRACE`] to a file of the calling test's own: tests run in
+    /// parallel, and each deletes its trace when done.
+    fn write_trace(test: &str) -> std::path::PathBuf {
+        let path = temp_path(&format!("{test}_trace.csv"));
         std::fs::write(&path, TRACE).unwrap();
         path
     }
@@ -1687,7 +1689,7 @@ mod tests {
 
     #[test]
     fn stats_and_track_run_on_a_trace() {
-        let path = write_trace();
+        let path = write_trace("stats_and_track");
         let out = run(&Command::Stats {
             path: path.to_string_lossy().into_owned(),
         })
@@ -1711,7 +1713,7 @@ mod tests {
     /// `--shards 2` on a generated dataset).
     #[test]
     fn run_output_is_identical_across_shard_counts() {
-        let path = write_trace();
+        let path = write_trace("shard_counts");
         let path_str = path.to_string_lossy().into_owned();
         let mut outputs = Vec::new();
         for shards in [1usize, 2, 3] {
@@ -1749,7 +1751,7 @@ mod tests {
     /// engines, and instrumentation leaves the stdout report untouched.
     #[test]
     fn run_exports_metrics_and_trace_files() {
-        let path = write_trace();
+        let path = write_trace("metrics_export");
         let path_str = path.to_string_lossy().into_owned();
         let cmd = |shards: usize, metrics: Option<String>, trace: Option<String>| Command::Run {
             path: path_str.clone(),
@@ -1805,7 +1807,7 @@ mod tests {
     /// report stays untouched, and `tin-cli report` renders the stream.
     #[test]
     fn run_streams_telemetry_and_report_renders_it() {
-        let path = write_trace();
+        let path = write_trace("telemetry");
         let path_str = path.to_string_lossy().into_owned();
         let cmd = |shards: usize, telemetry: Option<String>| Command::Run {
             path: path_str.clone(),
@@ -1878,7 +1880,7 @@ mod tests {
     #[test]
     fn fatal_worker_loss_leaves_a_crash_report() {
         use tin_obs::json::Value;
-        let path = write_trace();
+        let path = write_trace("crash_report");
         let path_str = path.to_string_lossy().into_owned();
         let report_dir = temp_path("crash_box");
         let ckpt_dir = temp_path("crash_box_ckpts");
@@ -1946,7 +1948,7 @@ mod tests {
     /// crashed run's.
     #[test]
     fn crash_then_resume_matches_uninterrupted_run() {
-        let path = write_trace();
+        let path = write_trace("crash_resume");
         let path_str = path.to_string_lossy().into_owned();
         let cmd = |policy: SelectionPolicy,
                    shards: usize,
@@ -2022,7 +2024,7 @@ mod tests {
     /// undisturbed sharded run and the sequential reference.
     #[test]
     fn chaos_kill_output_matches_undisturbed_run() {
-        let path = write_trace();
+        let path = write_trace("chaos_kill");
         let path_str = path.to_string_lossy().into_owned();
         let cmd =
             |shards: usize, chaos_plan: Option<&str>, max_worker_restarts: usize| Command::Run {
@@ -2073,7 +2075,7 @@ mod tests {
     /// complete; resuming from them still matches the reference.
     #[test]
     fn chaos_checkpoint_faults_are_absorbed_by_retry() {
-        let path = write_trace();
+        let path = write_trace("chaos_ckpt_faults");
         let path_str = path.to_string_lossy().into_owned();
         let dir = temp_path("chaos_ckpt");
         let _ = std::fs::remove_dir_all(&dir);
@@ -2109,7 +2111,7 @@ mod tests {
 
     #[test]
     fn origins_query_now_and_in_the_past() {
-        let path = write_trace();
+        let path = write_trace("origins");
         let path_str = path.to_string_lossy().into_owned();
         let now = run(&Command::Origins {
             path: path_str.clone(),
@@ -2146,7 +2148,7 @@ mod tests {
 
     #[test]
     fn snapshot_alerts_and_generate_write_outputs() {
-        let path = write_trace();
+        let path = write_trace("snapshot_alerts");
         let path_str = path.to_string_lossy().into_owned();
         let snap_path = temp_path("snap.tsv");
         let out = run(&Command::Snapshot {
@@ -2184,7 +2186,7 @@ mod tests {
 
     #[test]
     fn influence_and_similar_run_on_a_trace() {
-        let path = write_trace();
+        let path = write_trace("influence");
         let path_str = path.to_string_lossy().into_owned();
 
         // In the trace everything ultimately traces back to "exchange", so it

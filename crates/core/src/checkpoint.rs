@@ -32,7 +32,9 @@
 //! Every section carries its own CRC32; any mismatch, truncation or malformed
 //! value surfaces as [`TinError::CorruptCheckpoint`] naming the section, and
 //! recovery falls back to the previous retained checkpoint instead of
-//! installing partial state.
+//! installing partial state. A section body longer than its `u32` length
+//! field can describe is refused at encode time with
+//! [`TinError::CheckpointTooLarge`]; nothing is written.
 //!
 //! ## Durability protocol
 //!
@@ -185,7 +187,11 @@ impl Checkpoint {
     }
 
     /// Serialise to the versioned, checksummed on-disk byte format.
-    pub fn encode(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    /// [`TinError::CheckpointTooLarge`] if a section body exceeds the
+    /// format's `u32` length field (4 GiB).
+    pub fn encode(&self) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         codec::put_u32(&mut out, SCHEMA_VERSION);
@@ -193,11 +199,11 @@ impl Checkpoint {
         let mut body = Vec::new();
         self.policy.encode_into(&mut body);
         codec::put_usize(&mut body, self.num_vertices);
-        append_section(&mut out, &body);
+        append_section(&mut out, "policy", &body)?;
 
         body.clear();
         self.cursor.encode_into(&mut body);
-        append_section(&mut out, &body);
+        append_section(&mut out, "cursor", &body)?;
 
         body.clear();
         codec::put_usize(&mut body, self.states.len());
@@ -205,8 +211,8 @@ impl Checkpoint {
             codec::put_u32(&mut body, *v);
             codec::put_bytes(&mut body, bytes);
         }
-        append_section(&mut out, &body);
-        out
+        append_section(&mut out, "states", &body)?;
+        Ok(out)
     }
 
     /// Decode a checkpoint from bytes. `path` labels errors; pass the file
@@ -287,9 +293,10 @@ impl Checkpoint {
     /// at any point leaves either the old file or the complete new one.
     ///
     /// # Errors
-    /// Propagates the underlying I/O failures as [`TinError::Io`].
+    /// Propagates the underlying I/O failures as [`TinError::Io`], and
+    /// [`TinError::CheckpointTooLarge`] from [`Self::encode`].
     pub fn write_atomic(&self, path: &Path) -> Result<()> {
-        write_atomic_bytes(&self.encode(), path)
+        write_atomic_bytes(&self.encode()?, path)
     }
 
     /// Read and validate a checkpoint file.
@@ -322,10 +329,19 @@ fn write_atomic_bytes(bytes: &[u8], path: &Path) -> Result<()> {
 }
 
 /// Append one `len | crc32 | body` section.
-fn append_section(out: &mut Vec<u8>, body: &[u8]) {
-    codec::put_u32(out, u32::try_from(body.len()).expect("section under 4 GiB"));
+fn append_section(out: &mut Vec<u8>, section: &str, body: &[u8]) -> Result<()> {
+    codec::put_u32(out, section_len(section, body.len())?);
     codec::put_u32(out, codec::crc32(body));
     out.extend_from_slice(body);
+    Ok(())
+}
+
+/// The `u32` length field of a `len`-byte section body.
+fn section_len(section: &str, len: usize) -> Result<u32> {
+    u32::try_from(len).map_err(|_| TinError::CheckpointTooLarge {
+        section: section.into(),
+        bytes: len as u64,
+    })
 }
 
 /// Read one `len | crc32 | body` section starting at `*offset`, verifying
@@ -518,11 +534,13 @@ impl CheckpointStore {
     /// Returns the final file path.
     ///
     /// # Errors
-    /// Returns the last attempt's [`TinError::Io`] if every retry failed.
+    /// Returns [`TinError::CheckpointTooLarge`] (before touching the
+    /// directory) if the checkpoint does not fit the format, and the last
+    /// attempt's [`TinError::Io`] if every retry failed.
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<PathBuf> {
         let path = self.path_for(checkpoint.cursor.processed);
         let encode_start = Instant::now();
-        let bytes = checkpoint.encode();
+        let bytes = checkpoint.encode()?;
         let encode_secs = encode_start.elapsed().as_secs_f64();
         let mut delay = self.retry_backoff;
         let mut last_err = None;
@@ -696,7 +714,7 @@ mod tests {
     #[test]
     fn encode_decode_round_trips() {
         let ckpt = sample_checkpoint();
-        let bytes = ckpt.encode();
+        let bytes = ckpt.encode().unwrap();
         let back = Checkpoint::decode(&bytes, "").unwrap();
         assert_eq!(back.policy, ckpt.policy);
         assert_eq!(back.num_vertices, 3);
@@ -733,7 +751,7 @@ mod tests {
     #[test]
     fn decode_rejects_bad_magic_and_version() {
         let ckpt = sample_checkpoint();
-        let mut bytes = ckpt.encode();
+        let mut bytes = ckpt.encode().unwrap();
         bytes[0] ^= 0xFF;
         assert!(matches!(
             Checkpoint::decode(&bytes, "x.tin"),
@@ -741,7 +759,7 @@ mod tests {
                 if section == "header" && path == "x.tin"
         ));
 
-        let mut bytes = ckpt.encode();
+        let mut bytes = ckpt.encode().unwrap();
         bytes[8] = 99;
         assert!(matches!(
             Checkpoint::decode(&bytes, ""),
@@ -755,7 +773,7 @@ mod tests {
     #[test]
     fn decode_detects_corruption_in_every_section() {
         let ckpt = sample_checkpoint();
-        let clean = ckpt.encode();
+        let clean = ckpt.encode().unwrap();
         // Flip one byte at a time across the whole file; every position must
         // either fail validation or (for the rare CRC-colliding positions,
         // which do not exist for single-bit flips) decode identically.
@@ -775,8 +793,25 @@ mod tests {
     }
 
     #[test]
+    fn oversized_sections_are_a_typed_error() {
+        assert_eq!(section_len("cursor", 41).unwrap(), 41);
+        assert_eq!(section_len("states", u32::MAX as usize).unwrap(), u32::MAX);
+        // One byte past the length field's range, without allocating 4 GiB.
+        let too_long = u32::MAX as usize + 1;
+        let err = section_len("states", too_long).unwrap_err();
+        assert_eq!(
+            err,
+            TinError::CheckpointTooLarge {
+                section: "states".into(),
+                bytes: too_long as u64,
+            }
+        );
+        assert!(err.to_string().contains("`states`"));
+    }
+
+    #[test]
     fn decode_rejects_truncation() {
-        let bytes = sample_checkpoint().encode();
+        let bytes = sample_checkpoint().encode().unwrap();
         for len in [0, 5, 12, 20, bytes.len() - 1] {
             assert!(
                 matches!(

@@ -86,6 +86,14 @@ pub enum TinError {
         /// The schema version this build supports.
         supported: u32,
     },
+    /// A checkpoint section is too long for the format's `u32` length
+    /// field. Nothing is written; the engine state is untouched.
+    CheckpointTooLarge {
+        /// The section that overflowed (`policy`, `cursor` or `states`).
+        section: String,
+        /// The section body's length in bytes.
+        bytes: u64,
+    },
 }
 
 impl fmt::Display for TinError {
@@ -154,6 +162,12 @@ impl fmt::Display for TinError {
                 f,
                 "checkpoint schema version {found} is not supported \
                  (this build reads version {supported})"
+            ),
+            TinError::CheckpointTooLarge { section, bytes } => write!(
+                f,
+                "checkpoint section `{section}` is {bytes} bytes, over the {} byte \
+                 limit of the section length field",
+                u32::MAX
             ),
         }
     }

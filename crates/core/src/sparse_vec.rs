@@ -902,15 +902,24 @@ impl SparseProvenance {
             && self.vals.iter().all(|&q| q > 0.0 || qty_is_zero(q))
     }
 
-    /// Append the checkpoint encoding (packed keys + quantity bit patterns).
+    /// Append the checkpoint encoding (packed keys + quantity bit patterns):
+    /// one resize, then fixed-width chunk copies, so a buffer reused across
+    /// captures is filled without per-element growth checks.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        use crate::codec::{put_f64, put_u32, put_usize};
-        put_usize(out, self.keys.len());
-        for &k in &self.keys {
-            put_u32(out, k);
+        let n = self.keys.len();
+        // Room for the length, the entries and the one `f64` total the
+        // proportional trackers append, so that trailer cannot double an
+        // exactly sized buffer.
+        out.reserve(8 + n * 12 + 8);
+        crate::codec::put_usize(out, n);
+        let start = out.len();
+        out.resize(start + n * 12, 0);
+        let (keys, vals) = out[start..].split_at_mut(n * 4);
+        for (dst, k) in keys.chunks_exact_mut(4).zip(&self.keys) {
+            dst.copy_from_slice(&k.to_le_bytes());
         }
-        for &q in &self.vals {
-            put_f64(out, q);
+        for (dst, q) in vals.chunks_exact_mut(8).zip(&self.vals) {
+            dst.copy_from_slice(&q.to_bits().to_le_bytes());
         }
     }
 
@@ -1330,6 +1339,34 @@ mod tests {
         for o in origins {
             assert_eq!(super::decode(super::encode(o)), o);
         }
+    }
+
+    /// The chunked encoder writes exactly the field-by-field codec layout
+    /// (length, then every key, then every value bit pattern), appends
+    /// after existing bytes, and round-trips through the decoder.
+    #[test]
+    fn encode_matches_field_by_field_layout_and_round_trips() {
+        use crate::codec::{put_f64, put_u32, put_usize, ByteReader};
+        let v: SparseProvenance = (0..37u32)
+            .map(|i| (ov(i * 3), 0.25 + f64::from(i)))
+            .chain([(Origin::Unknown, 1e-3)])
+            .collect();
+        let mut expected = vec![0xAB];
+        put_usize(&mut expected, v.len());
+        v.keys.iter().for_each(|&k| put_u32(&mut expected, k));
+        v.vals.iter().for_each(|&q| put_f64(&mut expected, q));
+        let mut out = vec![0xAB];
+        v.encode_into(&mut out);
+        assert_eq!(out, expected);
+        let mut r = ByteReader::new(&out[1..], "states");
+        let back = SparseProvenance::decode_from(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(back.keys, v.keys);
+        assert!(back
+            .vals
+            .iter()
+            .zip(&v.vals)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

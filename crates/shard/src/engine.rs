@@ -101,6 +101,35 @@
 //!    — are byte-identical to an undisturbed run (enforced by the
 //!    `self_healing` proptests).
 //!
+//! ### Incremental snapshot refresh
+//!
+//! A refresh does not copy the whole state again. Interactions inside a
+//! wavefront touch disjoint vertex pairs, and an interaction changes only
+//! the state of its two endpoints (the disjoint-support fact the
+//! [`crate::wavefront`] scheduler relies on). So every vertex that no
+//! interaction touched since the last refresh still encodes to the bytes
+//! the snapshot holds. The coordinator marks both endpoints of every
+//! applied interaction, live or replayed, as **dirty**. A refresh then
+//! runs in three steps:
+//!
+//! 1. it quiesces, then sends each shard the dirty vertices it owns, each
+//!    with that vertex's **spare** buffer (the payload the previous refresh
+//!    replaced);
+//! 2. each shard clears those buffers and re-encodes into them, so a
+//!    steady-state refresh allocates nothing per vertex;
+//! 3. only once every shard has answered does the coordinator swap the new
+//!    payloads into the held [`Checkpoint`], keep the old ones as spares,
+//!    advance the cursor and clear the dirty set. A worker that dies
+//!    mid-capture therefore leaves the previous snapshot, the dirty set and
+//!    the replay buffer intact, and recovery starts from them.
+//!
+//! Windowed and time-windowed policies are the fallback: their epoch
+//! resets rewrite every vertex, so each of their refreshes is a full
+//! capture. Durable saves and [`ShardedEngine::checkpoint`] are full
+//! captures too. Every full capture encodes into the spare buffers it
+//! finds. When it replaces the recovery snapshot, the buffers of the
+//! snapshot it replaces become the spares.
+//!
 //! Respawns draw on a budget ([`RecoveryPolicy::max_worker_restarts`],
 //! exponential backoff): a worker that dies *during* recovery consumes
 //! another unit, and an exhausted budget falls back to the original
@@ -332,10 +361,11 @@ enum ToShard {
     /// Buffered quantities of every vertex this shard owns, in one message.
     QueryBufferedAll,
     QueryFootprint,
-    /// Checkpoint capture: encode the state of every vertex this shard owns
-    /// (the engine quiesces first, so every shard captures at the identical
-    /// global stream position).
-    CaptureStates,
+    /// Checkpoint capture: re-encode the state of each listed vertex (all
+    /// owned by this shard) into the buffer it travels with, clearing the
+    /// buffer first, and send the list back. The engine quiesces first, so
+    /// every shard captures at the identical global stream position.
+    CaptureStates(Vec<(u32, Vec<u8>)>),
     /// Recovery: install one decoded vertex state on its (new) owner. Sent
     /// strictly after the epoch [`ToShard::Sync`], so resets fired by the
     /// sync cannot clobber the restored state.
@@ -386,7 +416,8 @@ enum FromShard {
         shard: usize,
         breakdown: FootprintBreakdown,
     },
-    /// `(vertex raw id, checkpoint payload)` for every owned vertex.
+    /// The list of a [`ToShard::CaptureStates`], each buffer now holding its
+    /// vertex's checkpoint payload.
     StatesCaptured(Vec<(u32, Vec<u8>)>),
     /// Sync acknowledgement, carrying the shard's observability delta when
     /// instrumentation is enabled.
@@ -493,6 +524,10 @@ struct ShardObsState {
     recoveries: CounterId,
     replayed: CounterId,
     recovery_ns: HistogramId,
+    /// Vertex payloads re-encoded by recovery-snapshot refreshes.
+    snapshot_vertices: CounterId,
+    /// Payload bytes those re-encodes produced.
+    snapshot_bytes: CounterId,
 }
 
 impl ShardObsState {
@@ -517,6 +552,8 @@ impl ShardObsState {
         let recoveries = m.counter("recoveries_total", "recoveries");
         let replayed = m.counter("replayed_interactions_total", "interactions");
         let recovery_ns = m.histogram("recovery_ns", "ns");
+        let snapshot_vertices = m.counter("recovery_snapshot_vertices_total", "vertices");
+        let snapshot_bytes = m.counter("recovery_snapshot_encoded_bytes", "bytes");
         ShardObsState {
             obs,
             worker_ids,
@@ -536,6 +573,8 @@ impl ShardObsState {
             recoveries,
             replayed,
             recovery_ns,
+            snapshot_vertices,
+            snapshot_bytes,
         }
     }
 
@@ -564,6 +603,76 @@ struct TelemetryState {
     sink: Telemetry,
     every: usize,
     last_at: Option<u64>,
+}
+
+/// The in-memory restore point of supervised recovery, with what an
+/// incremental refresh needs (see "Incremental snapshot refresh" in the
+/// module docs).
+struct RecoverySnapshot {
+    /// A full capture at the stream position the replay buffer starts from.
+    checkpoint: Checkpoint,
+    /// `dirty[v]`: an interaction applied since `checkpoint` was taken
+    /// touched `v`, so its payload may be stale. No other payload can be.
+    dirty: Vec<bool>,
+    /// Per vertex, the payload buffer the last refresh replaced. The next
+    /// capture of that vertex re-encodes into it instead of allocating.
+    spares: Vec<Vec<u8>>,
+}
+
+impl RecoverySnapshot {
+    fn new(checkpoint: Checkpoint) -> Self {
+        let n = checkpoint.num_vertices;
+        RecoverySnapshot {
+            checkpoint,
+            dirty: vec![false; n],
+            spares: vec![Vec::new(); n],
+        }
+    }
+
+    /// Capture requests for the dirty vertices, each with its spare buffer.
+    fn take_dirty_spares(&mut self) -> impl Iterator<Item = (u32, Vec<u8>)> + '_ {
+        (0u32..)
+            .zip(self.dirty.iter().zip(&mut self.spares))
+            .filter_map(|(v, (&dirty, spare))| dirty.then(|| (v, std::mem::take(spare))))
+    }
+
+    /// Hold `checkpoint`, a full capture at the current stream position, in
+    /// place of the current one, whose payload buffers become the spares.
+    fn replace(&mut self, checkpoint: Checkpoint) {
+        let old = std::mem::replace(&mut self.checkpoint, checkpoint);
+        for (v, bytes) in old.states {
+            self.spares[v as usize] = bytes;
+        }
+        self.dirty.fill(false);
+    }
+
+    /// Swap freshly encoded payloads in, keep the ones they replace as
+    /// spares, and move the cursor to the capture's position. Returns the
+    /// number of payload bytes swapped in.
+    fn patch(&mut self, encoded: Vec<(u32, Vec<u8>)>, cursor: StreamCursor) -> usize {
+        let mut bytes = 0;
+        for (v, payload) in encoded {
+            bytes += payload.len();
+            let held = &mut self.checkpoint.states[v as usize];
+            debug_assert_eq!(held.0, v, "checkpoint states are indexed by vertex");
+            self.spares[v as usize] = std::mem::replace(&mut held.1, payload);
+        }
+        self.checkpoint.cursor = cursor;
+        self.dirty.fill(false);
+        bytes
+    }
+}
+
+/// Route `(vertex, target buffer)` capture requests to the owning shards.
+fn route_captures(
+    num_shards: usize,
+    requests: impl Iterator<Item = (u32, Vec<u8>)>,
+) -> Vec<Vec<(u32, Vec<u8>)>> {
+    let mut per_shard = vec![Vec::new(); num_shards];
+    for (v, buf) in requests {
+        per_shard[shard_of(VertexId::new(v), num_shards)].push((v, buf));
+    }
+    per_shard
 }
 
 /// Seconds (as measured) to integer nanoseconds for histogram observation.
@@ -629,7 +738,7 @@ pub struct ShardedEngine {
     /// The in-memory restore point recovery rebuilds from — refreshed when
     /// the replay buffer reaches [`RecoveryPolicy::snapshot_every`] and at
     /// every durable periodic save. `None` iff `recovery` is `None`.
-    recovery_snapshot: Option<Checkpoint>,
+    recovery_snapshot: Option<RecoverySnapshot>,
     /// Interactions processed since `recovery_snapshot` — deterministically
     /// replayed after a restore. Empty when `recovery` is `None`.
     replay_buffer: VecDeque<Interaction>,
@@ -919,38 +1028,98 @@ impl ShardedEngine {
     fn checkpoint_attempt(&mut self) -> Result<Checkpoint> {
         self.quiesce()?;
         let start = Instant::now();
-        for shard in 0..self.num_shards {
-            self.send_to(shard, ToShard::CaptureStates)?;
-        }
-        let mut states: Vec<(u32, Vec<u8>)> = Vec::with_capacity(self.num_vertices);
-        for _ in 0..self.num_shards {
-            match self.recv()? {
-                FromShard::StatesCaptured(entries) => states.extend(entries),
-                _ => unreachable!("quiesced shards answer queries in order"),
-            }
-        }
+        let requests = match self.recovery_snapshot.as_mut() {
+            Some(held) => route_captures(
+                self.num_shards,
+                (0u32..).zip(held.spares.iter_mut().map(std::mem::take)),
+            ),
+            None => route_captures(
+                self.num_shards,
+                (0..self.num_vertices).map(|v| (v as u32, Vec::new())),
+            ),
+        };
+        let mut states = self.capture_states(requests)?;
         // Each shard reports its owned subset; merge into global vertex
         // order so the file is independent of the shard count that wrote it.
         states.sort_unstable_by_key(|(v, _)| *v);
         debug_assert_eq!(states.len(), self.num_vertices);
+        self.record_capture(start);
+        Ok(Checkpoint {
+            policy: self.config.clone(),
+            num_vertices: self.num_vertices,
+            cursor: self.cursor(),
+            states,
+        })
+    }
+
+    /// Refresh the recovery snapshot in place: re-encode only the dirty
+    /// vertices, into their spare buffers, and swap the results in once
+    /// every shard has answered. Returns the vertices and payload bytes
+    /// re-encoded.
+    fn patch_snapshot_attempt(&mut self) -> Result<(usize, usize)> {
+        self.quiesce()?;
+        let start = Instant::now();
+        let held = self
+            .recovery_snapshot
+            .as_mut()
+            .expect("only a held snapshot is patched");
+        let requests = route_captures(self.num_shards, held.take_dirty_spares());
+        let encoded = self.capture_states(requests)?;
+        let vertices = encoded.len();
+        let cursor = self.cursor();
+        let held = self
+            .recovery_snapshot
+            .as_mut()
+            .expect("only a held snapshot is patched");
+        let bytes = held.patch(encoded, cursor);
+        self.replay_buffer.clear();
+        self.record_capture(start);
+        Ok((vertices, bytes))
+    }
+
+    /// Send each shard its capture requests (the engine must be quiesced)
+    /// and collect every re-encoded payload, in no particular order.
+    fn capture_states(
+        &mut self,
+        requests: Vec<Vec<(u32, Vec<u8>)>>,
+    ) -> Result<Vec<(u32, Vec<u8>)>> {
+        let mut captured = Vec::with_capacity(requests.iter().map(Vec::len).sum());
+        let mut answers = 0;
+        for (shard, entries) in requests.into_iter().enumerate() {
+            if !entries.is_empty() {
+                self.send_to(shard, ToShard::CaptureStates(entries))?;
+                answers += 1;
+            }
+        }
+        for _ in 0..answers {
+            match self.recv()? {
+                FromShard::StatesCaptured(entries) => captured.extend(entries),
+                _ => unreachable!("quiesced shards answer queries in order"),
+            }
+        }
+        Ok(captured)
+    }
+
+    /// Account one capture that began at `start` (after its quiesce) to the
+    /// coordinator's busy time and the `checkpoint_capture_ns` histogram.
+    fn record_capture(&mut self, start: Instant) {
         let capture = start.elapsed();
         self.busy_secs += capture.as_secs_f64();
         if let Some(o) = self.obs.as_deref_mut() {
             o.obs.metrics.observe_duration(o.ckpt_capture_ns, capture);
             o.obs.trace.record("checkpoint_capture", 0, start);
         }
-        Ok(Checkpoint {
-            policy: self.config.clone(),
-            num_vertices: self.num_vertices,
-            cursor: StreamCursor {
-                processed: self.processed,
-                last_time: self.last_time,
-                total_quantity: self.total_quantity,
-                newborn_quantity: self.newborn_quantity,
-                peak_footprint_bytes: self.peak_footprint,
-            },
-            states,
-        })
+    }
+
+    /// The stream cursor at the current position.
+    fn cursor(&self) -> StreamCursor {
+        StreamCursor {
+            processed: self.processed,
+            last_time: self.last_time,
+            total_quantity: self.total_quantity,
+            newborn_quantity: self.newborn_quantity,
+            peak_footprint_bytes: self.peak_footprint,
+        }
     }
 
     /// Capture the current state and save it into `store` (atomic write,
@@ -1193,6 +1362,10 @@ impl ShardedEngine {
     /// [`Self::process_attempt`]).
     fn apply_interaction(&mut self, r: &Interaction) -> Result<()> {
         let start = Instant::now();
+        if let Some(held) = self.recovery_snapshot.as_mut() {
+            held.dirty[r.src.index()] = true;
+            held.dirty[r.dst.index()] = true;
+        }
         self.total_quantity += r.qty;
         if !self.scheduler.offer(r, self.processed) {
             self.dispatch_open_batch()?;
@@ -1652,9 +1825,11 @@ impl ShardedEngine {
             self.send_to(0, ToShard::InjectPanic)?;
         }
         match self.recovery_snapshot.take() {
-            Some(snapshot) => {
-                let restored = self.install_states(&snapshot);
-                self.recovery_snapshot = Some(snapshot);
+            // The dirty set stays: it already holds the endpoints of every
+            // buffered interaction, which the replay below marks again.
+            Some(held) => {
+                let restored = self.install_states(&held.checkpoint);
+                self.recovery_snapshot = Some(held);
                 restored?;
             }
             None => {
@@ -1683,9 +1858,10 @@ impl ShardedEngine {
         Ok(replay.len())
     }
 
-    /// Capture a fresh in-memory recovery snapshot once the replay buffer
-    /// hits its bound ([`RecoveryPolicy::snapshot_every`]) — the cost that
-    /// keeps both replay length and buffer memory bounded.
+    /// Refresh the in-memory recovery snapshot once the replay buffer hits
+    /// its bound ([`RecoveryPolicy::snapshot_every`]) — the cost that keeps
+    /// both replay length and buffer memory bounded. The first snapshot and
+    /// every windowed-policy refresh are full captures; the rest patch.
     fn refresh_snapshot_if_due(&mut self) -> Result<()> {
         let Some(policy) = &self.recovery else {
             return Ok(());
@@ -1693,20 +1869,36 @@ impl ShardedEngine {
         if self.recovery_snapshot.is_some() && self.replay_buffer.len() < policy.snapshot_every {
             return Ok(());
         }
-        let snapshot = self.checkpoint_attempt()?;
-        self.adopt_snapshot(snapshot);
+        // Epoch resets of windowed policies rewrite every vertex, so only
+        // the other policies can patch the dirty vertices alone.
+        let patchable = EpochRule::for_policy(&self.config) == EpochRule::None;
+        let (vertices, bytes) = if patchable && self.recovery_snapshot.is_some() {
+            self.patch_snapshot_attempt()?
+        } else {
+            let snapshot = self.checkpoint_attempt()?;
+            let bytes = snapshot.states.iter().map(|(_, b)| b.len()).sum();
+            self.adopt_snapshot(snapshot);
+            (self.num_vertices, bytes)
+        };
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.obs.metrics.add(o.snapshot_vertices, vertices as u64);
+            o.obs.metrics.add(o.snapshot_bytes, bytes as u64);
+        }
         Ok(())
     }
 
-    /// Install `snapshot` (captured at the current stream position) as the
-    /// recovery restore point and drop the replay prefix it covers.
+    /// Install `snapshot` (a full capture at the current stream position)
+    /// as the recovery restore point and drop the replay prefix it covers.
     fn adopt_snapshot(&mut self, snapshot: Checkpoint) {
         if self.recovery.is_none() {
             return;
         }
         debug_assert_eq!(snapshot.cursor.processed, self.processed);
         self.replay_buffer.clear();
-        self.recovery_snapshot = Some(snapshot);
+        match self.recovery_snapshot.as_mut() {
+            Some(held) => held.replace(snapshot),
+            None => self.recovery_snapshot = Some(RecoverySnapshot::new(snapshot)),
+        }
     }
 
     /// The poisoned-engine check every public operation performs first.
@@ -1951,17 +2143,13 @@ fn shard_worker(
                     .collect();
                 let _ = main_tx.send(FromShard::BufferedAll(entries));
             }
-            ToShard::CaptureStates => {
-                let entries: Vec<(u32, Vec<u8>)> = (0..num_vertices)
-                    .map(VertexId::from)
-                    .filter(|v| shard_of(*v, peers.len()) == shard_id)
-                    .map(|v| {
-                        let mut bytes = Vec::new();
-                        let supported = tracker.encode_vertex_state(v, &mut bytes);
-                        assert!(supported, "factory trackers support durable checkpoints");
-                        (v.raw(), bytes)
-                    })
-                    .collect();
+            ToShard::CaptureStates(mut entries) => {
+                for (v, bytes) in &mut entries {
+                    debug_assert_eq!(shard_of(VertexId::new(*v), peers.len()), shard_id);
+                    bytes.clear();
+                    let supported = tracker.encode_vertex_state(VertexId::new(*v), bytes);
+                    assert!(supported, "factory trackers support durable checkpoints");
+                }
                 let _ = main_tx.send(FromShard::StatesCaptured(entries));
             }
             ToShard::Restore { vertex, state } => {
@@ -2249,4 +2437,108 @@ pub fn run_ensemble_sharded(
         reports.push(engine.report()?);
     }
     Ok(reports)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::{all_configs, synthetic_stream};
+
+    /// After every refresh the held recovery snapshot equals, byte for
+    /// byte, a full capture at the same stream position — for every
+    /// factory policy and shard count, whether the refresh patched the
+    /// dirty vertices into reused buffers or (windowed policies) re-encoded
+    /// everything.
+    #[test]
+    fn refreshed_snapshot_equals_a_full_capture() {
+        let n = 14usize;
+        let snapshot_every = 6;
+        let stream = synthetic_stream(n as u32, 90);
+        for config in all_configs(n) {
+            for shards in [2usize, 4, 7] {
+                let context = format!("{} with {shards} shards", config.key());
+                let mut engine = ShardedEngine::new(&config, n, shards)
+                    .unwrap()
+                    .with_self_healing(RecoveryPolicy {
+                        snapshot_every,
+                        ..RecoveryPolicy::default()
+                    })
+                    .unwrap();
+                let mut refreshes = 0;
+                for r in &stream {
+                    engine.process(r).unwrap();
+                    // `process` leaves its own interaction in the buffer, so
+                    // an empty buffer here means this call refreshed.
+                    engine.refresh_snapshot_if_due().unwrap();
+                    if !engine.replay_buffer.is_empty() {
+                        continue;
+                    }
+                    refreshes += 1;
+                    // Capture the reference with the snapshot detached, so
+                    // it neither reads nor takes the spares the next
+                    // refresh reuses.
+                    let held = engine.recovery_snapshot.take().unwrap();
+                    let full = engine.checkpoint_attempt().unwrap();
+                    assert_eq!(held.checkpoint.cursor, full.cursor, "cursor: {context}");
+                    assert!(
+                        held.checkpoint.states == full.states,
+                        "states differ after refresh {refreshes}: {context}"
+                    );
+                    assert!(!held.dirty.contains(&true), "{context}");
+                    engine.recovery_snapshot = Some(held);
+                }
+                assert_eq!(refreshes, stream.len() / snapshot_every, "{context}");
+            }
+        }
+    }
+
+    /// A patch re-encodes only the vertices touched since the last refresh,
+    /// each into its spare buffer, cleared first.
+    #[test]
+    fn patch_reencodes_only_dirty_vertices_into_spare_buffers() {
+        let config = PolicyConfig::Plain(tin_core::policy::SelectionPolicy::ProportionalSparse);
+        let mut engine = ShardedEngine::new(&config, 8, 2)
+            .unwrap()
+            .with_self_healing(RecoveryPolicy {
+                snapshot_every: 2,
+                ..RecoveryPolicy::default()
+            })
+            .unwrap()
+            .with_observability(Obs::new())
+            .unwrap();
+        let r = |s: u32, d: u32, t: f64| Interaction::new(s, d, t, 1.0 + t);
+        engine.process_all(&[r(0, 1, 1.0), r(1, 2, 2.0)]).unwrap();
+        engine.refresh_snapshot_if_due().unwrap();
+        let held = engine.recovery_snapshot.as_mut().unwrap();
+        assert_eq!(held.checkpoint.cursor.processed, 2);
+        // Vertices 0, 1 and 2 were patched: their old payloads are spares.
+        assert!((0..3).all(|v| held.spares[v].capacity() > 0));
+        assert_eq!(held.spares[5].capacity(), 0, "vertex 5 was never touched");
+        // Plant a roomy spare full of junk for vertex 1.
+        let mut planted = Vec::with_capacity(4096);
+        planted.resize(100, 0xEE);
+        let planted_ptr = planted.as_ptr();
+        held.spares[1] = planted;
+
+        engine.process_all(&[r(1, 3, 3.0), r(4, 1, 4.0)]).unwrap();
+        engine.refresh_snapshot_if_due().unwrap();
+        let held = engine.recovery_snapshot.take().unwrap();
+        assert_eq!(held.checkpoint.cursor.processed, 4);
+        assert_eq!(held.checkpoint.states[1].1.as_ptr(), planted_ptr);
+        let full = engine.checkpoint_attempt().unwrap();
+        assert!(held.checkpoint.states == full.states, "junk was cleared");
+        engine.recovery_snapshot = Some(held);
+
+        let obs = engine.take_obs().unwrap().unwrap();
+        let snap = obs.snapshot();
+        let counter = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|c| c.name == name)
+                .map(|c| c.value)
+                .unwrap()
+        };
+        assert_eq!(counter("recovery_snapshot_vertices_total"), 3 + 3);
+        assert!(counter("recovery_snapshot_encoded_bytes") > 0);
+    }
 }

@@ -54,7 +54,7 @@ mod tests {
     use tin_core::interaction::{paper_running_example, Interaction};
     use tin_core::policy::{PolicyConfig, SelectionPolicy};
 
-    fn all_configs(num_vertices: usize) -> Vec<PolicyConfig> {
+    pub(crate) fn all_configs(num_vertices: usize) -> Vec<PolicyConfig> {
         let mut configs: Vec<PolicyConfig> = SelectionPolicy::all()
             .into_iter()
             .map(PolicyConfig::Plain)
@@ -78,7 +78,7 @@ mod tests {
     /// A deterministic synthetic stream with enough vertices for real
     /// parallelism and plenty of conflicts, full relays and partial
     /// transfers.
-    fn synthetic_stream(num_vertices: u32, len: usize) -> Vec<Interaction> {
+    pub(crate) fn synthetic_stream(num_vertices: u32, len: usize) -> Vec<Interaction> {
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut out = Vec::with_capacity(len);
         let mut t = 0.0;

@@ -142,7 +142,7 @@ proptest! {
 
             for (ckpt, from) in [(&seq_ckpt, "seq"), (&sharded_ckpt, "sharded2")] {
                 // Round-trip through the on-disk byte format.
-                let ckpt = Checkpoint::decode(&ckpt.encode(), "").unwrap();
+                let ckpt = Checkpoint::decode(&ckpt.encode().unwrap(), "").unwrap();
 
                 // Resume sequentially.
                 let mut resumed = ProvenanceEngine::resume_from(&ckpt).unwrap();
@@ -198,7 +198,7 @@ fn truncated_files_are_rejected() {
             Interaction::new(1u32, 2u32, 2.0, 1.5),
         ])
         .unwrap();
-    let bytes = engine.checkpoint().unwrap().encode();
+    let bytes = engine.checkpoint().unwrap().encode().unwrap();
     for len in 0..bytes.len() {
         let result = Checkpoint::decode(&bytes[..len], "t.tin");
         assert!(
@@ -220,7 +220,7 @@ fn bit_flips_are_rejected() {
             Interaction::new(1u32, 4u32, 2.0, 3.0),
         ])
         .unwrap();
-    let clean = engine.checkpoint().unwrap().encode();
+    let clean = engine.checkpoint().unwrap().encode().unwrap();
     for byte in 0..clean.len() {
         for bit in 0..8 {
             let mut bytes = clean.clone();
@@ -309,7 +309,7 @@ fn future_schema_versions_are_refused() {
     engine
         .process(&Interaction::new(0u32, 1u32, 1.0, 2.0))
         .unwrap();
-    let mut bytes = engine.checkpoint().unwrap().encode();
+    let mut bytes = engine.checkpoint().unwrap().encode().unwrap();
     bytes[8] = SCHEMA_VERSION as u8 + 1;
     assert!(matches!(
         Checkpoint::decode(&bytes, ""),

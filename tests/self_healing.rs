@@ -142,20 +142,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// For every factory policy and shards ∈ {2, 4, 7}, killing a worker at
-    /// a random stream position recovers in-run and the final state is
-    /// bit-identical to an undisturbed sequential run.
+    /// a random stream position, and at one next to a snapshot refresh,
+    /// recovers in-run and the final state is bit-identical to an
+    /// undisturbed sequential run.
     #[test]
     fn kill_at_k_recovers_bit_identically(
         stream in interaction_stream(40),
         kill_frac in 0.0f64..1.0f64,
+        boundary in 0usize..12,
     ) {
         let n = MAX_VERTICES as usize;
-        let kill_at = ((stream.len() as f64) * kill_frac) as usize;
+        // With `snapshot_every` 8 the snapshot refreshes before interaction
+        // k·8. Kills at k·8 − 1, k·8 and k·8 + 1 land just before, on and
+        // just after a refresh, so a death can hit the refresh itself and
+        // recovery restores both seeded and patched snapshots.
+        let near_refresh: Vec<usize> = (8..stream.len())
+            .step_by(8)
+            .flat_map(|b| [b - 1, b, b + 1])
+            .filter(|&k| k < stream.len())
+            .collect();
+        let mut kills = vec![((stream.len() as f64) * kill_frac) as usize];
+        if !near_refresh.is_empty() {
+            kills.push(near_refresh[boundary % near_refresh.len()]);
+        }
         for config in all_configs(n) {
             let mut sequential = ProvenanceEngine::new(&config, n).unwrap();
             sequential.process_all(&stream).unwrap();
             let seq_report = sequential.report();
-            for shards in [2usize, 4, 7] {
+            for (shards, &kill_at) in [2usize, 4, 7]
+                .into_iter()
+                .flat_map(|s| kills.iter().map(move |k| (s, k)))
+            {
                 let victim = kill_at % shards;
                 let mut sharded = ShardedEngine::new(&config, n, shards)
                     .unwrap()
@@ -352,13 +369,21 @@ fn death_during_recovery_past_budget_falls_back_to_poison() {
 
 /// No durable store anywhere: recovery restores purely from the in-memory
 /// snapshot, with `snapshot_every` small enough that several snapshot
-/// refreshes happen mid-stream before the kill.
+/// refreshes happen mid-stream before the kill. The windowed policy
+/// re-encodes every vertex at each refresh; `prop_sparse` patches only the
+/// dirty ones, so its restore point is a patched snapshot.
 #[test]
 fn heals_from_in_memory_snapshot_without_durable_checkpoints() {
     with_watchdog(|| {
         let n = MAX_VERTICES as usize;
-        for snapshot_every in [4usize, 64] {
-            let config = PolicyConfig::Windowed { window: 5 };
+        let configs = [
+            PolicyConfig::Windowed { window: 5 },
+            PolicyConfig::Plain(SelectionPolicy::ProportionalSparse),
+        ];
+        for (config, snapshot_every) in configs
+            .iter()
+            .flat_map(|c| [4usize, 64].map(|every| (c.clone(), every)))
+        {
             let stream: Vec<Interaction> = (0..60u32)
                 .map(|i| {
                     Interaction::new(
@@ -383,7 +408,10 @@ fn heals_from_in_memory_snapshot_without_durable_checkpoints() {
                 &mut engine,
                 &mut sequential,
                 n,
-                &format!("in-memory snapshots, snapshot_every={snapshot_every}"),
+                &format!(
+                    "in-memory snapshots, {} with snapshot_every={snapshot_every}",
+                    config.key()
+                ),
             );
             let stats = engine.recovery_stats();
             assert_eq!(stats.recoveries, 1);
