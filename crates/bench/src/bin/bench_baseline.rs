@@ -27,13 +27,6 @@
 //! row reports the **median** per-pass time with the min/max range
 //! alongside.
 //!
-//! Modes:
-//! * default — the per-policy table plus the sequential-vs-sharded scaling
-//!   section;
-//! * `--sweep-threshold` — additionally sweep the adaptive promotion
-//!   threshold (0.1–0.9) of `PolicyConfig::AdaptiveProportional`, one JSON
-//!   row per setting (feeds the cost-model-driven-threshold roadmap item).
-//!
 //! Scale is controlled by `TIN_SCALE` (use `TIN_SCALE=tiny` as CI smoke
 //! mode), the seed by `TIN_SEED`, timing repetitions by `TIN_BENCH_REPS`
 //! (default 5), and the output path by `--out PATH` (default
@@ -161,7 +154,6 @@ fn configs_for(w: &Workload) -> Vec<PolicyConfig> {
     }
     if sparse_proportional_feasible(n, w.interactions.len()) {
         configs.push(PolicyConfig::Plain(SelectionPolicy::ProportionalSparse));
-        configs.push(PolicyConfig::adaptive());
     }
     configs.push(PolicyConfig::Selective {
         tracked: (0..k as u32).map(VertexId::new).collect(),
@@ -761,45 +753,6 @@ fn run_telemetry_overhead(
     }
 }
 
-struct SweepRow {
-    dense_threshold: f64,
-    timing: TimingStats,
-    peak_footprint_bytes: usize,
-    final_footprint_bytes: usize,
-    reps: usize,
-}
-
-/// `--sweep-threshold`: adaptive promotion threshold sweep, K interleaved
-/// reps per setting.
-fn run_threshold_sweep(w: &Workload, reps: usize) -> Vec<SweepRow> {
-    let thresholds: Vec<f64> = (1..=9).map(|i| f64::from(i) / 10.0).collect();
-    let configs: Vec<PolicyConfig> = thresholds
-        .iter()
-        .map(|&dense_threshold| PolicyConfig::AdaptiveProportional { dense_threshold })
-        .collect();
-    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); configs.len()];
-    for _ in 0..reps {
-        for (i, config) in configs.iter().enumerate() {
-            samples[i].push(time_tracker_pass(config, w));
-        }
-    }
-    thresholds
-        .iter()
-        .zip(configs.iter())
-        .zip(samples.iter_mut())
-        .map(|((&dense_threshold, config), times)| {
-            let pass = instrument_policy(config, w);
-            SweepRow {
-                dense_threshold,
-                timing: TimingStats::from_samples(times),
-                peak_footprint_bytes: pass.peak_footprint_bytes,
-                final_footprint_bytes: pass.final_footprint_bytes,
-                reps,
-            }
-        })
-        .collect()
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -821,7 +774,6 @@ fn main() {
         .unwrap_or(5)
         .max(1);
     let mut out_path = "BENCH_PR10.json".to_string();
-    let mut sweep_threshold = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -831,9 +783,8 @@ fn main() {
                     std::process::exit(2);
                 });
             }
-            "--sweep-threshold" => sweep_threshold = true,
             other => {
-                eprintln!("unknown argument {other:?} (supported: --out PATH, --sweep-threshold)");
+                eprintln!("unknown argument {other:?} (supported: --out PATH)");
                 std::process::exit(2);
             }
         }
@@ -845,14 +796,7 @@ fn main() {
         ScaleProfile::Medium => "medium",
         ScaleProfile::Paper => "paper",
     };
-    println!(
-        "bench_baseline: scale={scale_key}, seed={seed}, reps={reps} (interleaved, median){}",
-        if sweep_threshold {
-            ", threshold sweep on"
-        } else {
-            ""
-        }
-    );
+    println!("bench_baseline: scale={scale_key}, seed={seed}, reps={reps} (interleaved, median)");
 
     let kinds = [DatasetKind::Bitcoin, DatasetKind::Taxis];
     let mut workload_blobs = Vec::new();
@@ -860,7 +804,6 @@ fn main() {
     let mut checkpoint_blobs = Vec::new();
     let mut recovery_blobs = Vec::new();
     let mut telemetry_blobs = Vec::new();
-    let mut sweep_blobs = Vec::new();
     let mut measured_prop_sparse: Vec<(String, f64)> = Vec::new();
     for kind in kinds {
         let w = Workload::generate(kind, scale);
@@ -1116,37 +1059,6 @@ fn main() {
             reps,
             mode_blobs.join(",\n      "),
         ));
-
-        // Optional adaptive-promotion-threshold sweep.
-        if sweep_threshold && sparse_proportional_feasible(w.num_vertices, w.interactions.len()) {
-            println!("    threshold sweep (prop_adaptive):");
-            for row in run_threshold_sweep(&w, reps) {
-                let (median, _, _) = row.timing.per_sec(w.interactions.len());
-                println!(
-                    "      t={:.1}  {median:>12.0} it/s  peak {:>12}",
-                    row.dense_threshold,
-                    tin_memstats::format_bytes(row.peak_footprint_bytes),
-                );
-                sweep_blobs.push(format!(
-                    concat!(
-                        "{{\"dataset\": \"{}\", \"dense_threshold\": {}, ",
-                        "\"runtime_secs\": {}, \"runtime_secs_min\": {}, ",
-                        "\"runtime_secs_max\": {}, \"interactions_per_sec\": {}, ",
-                        "\"peak_footprint_bytes\": {}, \"final_footprint_bytes\": {}, ",
-                        "\"reps\": {}}}"
-                    ),
-                    kind.key(),
-                    fmt_f64(row.dense_threshold),
-                    fmt_f64(row.timing.median_secs),
-                    fmt_f64(row.timing.min_secs),
-                    fmt_f64(row.timing.max_secs),
-                    fmt_f64(median),
-                    row.peak_footprint_bytes,
-                    row.final_footprint_bytes,
-                    row.reps,
-                ));
-            }
-        }
     }
 
     // Speedup of the proportional-sparse hot path vs. the pre-change
@@ -1176,14 +1088,6 @@ fn main() {
         }
     }
 
-    let sweep_section = if sweep_blobs.is_empty() {
-        String::new()
-    } else {
-        format!(
-            "  \"threshold_sweep\": [\n    {}\n  ],\n",
-            sweep_blobs.join(",\n    ")
-        )
-    };
     let json = format!(
         concat!(
             "{{\n",
@@ -1198,7 +1102,6 @@ fn main() {
             "  \"checkpoint_cost\": [\n    {}\n  ],\n",
             "  \"recovery_time\": [\n    {}\n  ],\n",
             "  \"telemetry_overhead\": [\n    {}\n  ],\n",
-            "{}",
             "  \"prop_sparse_reference\": {{\n",
             "    \"description\": \"pre-optimisation proportional-sparse throughput, ",
             "measured at the PR 1 tree (commit a14c5bc) with TIN_SCALE=small TIN_SEED=42\",\n",
@@ -1214,7 +1117,6 @@ fn main() {
         checkpoint_blobs.join(",\n    "),
         recovery_blobs.join(",\n    "),
         telemetry_blobs.join(",\n    "),
-        sweep_section,
         speedups.join(",\n      "),
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {

@@ -16,7 +16,6 @@
 //! and [`run_ensemble`] runs several policies side by side over the same
 //! stream — the shape of every experiment in Section 7.
 
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use tin_obs::{CounterId, GaugeId, HistogramId, Obs, Telemetry};
@@ -392,23 +391,6 @@ impl ProvenanceEngine {
     /// checkpoint support (none of the factory policies).
     pub fn checkpoint(&mut self) -> Result<Checkpoint> {
         Checkpoint::capture(&self.config, self.cursor(), self.tracker.as_mut())
-    }
-
-    /// Capture the current state and save it into `store` (atomic write,
-    /// retry, retention). Returns the checkpoint file's path.
-    ///
-    /// # Errors
-    /// Propagates capture errors and the store's [`TinError::Io`] failures.
-    pub fn checkpoint_to(&mut self, store: &mut CheckpointStore) -> Result<PathBuf> {
-        let capture_start = Instant::now();
-        let checkpoint = self.checkpoint()?;
-        let capture_elapsed = capture_start.elapsed();
-        let path = store.save(&checkpoint)?;
-        let stats = store.last_save_stats();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.record_checkpoint(capture_start, capture_elapsed, stats);
-        }
-        Ok(path)
     }
 
     /// The wrapped tracker.
@@ -854,10 +836,6 @@ mod tests {
             .unwrap()
             .with_durable_checkpoints(store, 0)
             .is_err());
-        // On-demand checkpoint_to saves one more file.
-        let mut store = CheckpointStore::open(&dir).unwrap();
-        let path = reference.checkpoint_to(&mut store).unwrap();
-        assert!(path.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -31,9 +31,9 @@
 //! * [`ids`], [`quantity`], [`interaction`], [`graph`], [`stream`] — the TIN
 //!   data model (Section 3 of the paper).
 //! * [`buffer`] — heap and queue buffers of provenance triples/pairs.
-//! * [`dense_vec`], [`sparse_vec`], [`simd`], [`adaptive_vec`] — provenance
-//!   vectors for proportional selection (fixed dense, zero-allocation
-//!   sparse, and runtime-adaptive representations).
+//! * [`dense_vec`], [`sparse_vec`], [`simd`] — provenance vectors for
+//!   proportional selection (fixed dense with SIMD kernels, and
+//!   zero-allocation sparse lists).
 //! * [`tracker`] — one tracker per selection policy (Sections 4–6):
 //!   `NoProv`, least/most-recently-born, FIFO/LIFO, proportional
 //!   (dense/sparse), selective, grouped, windowed, budget-based, and path
@@ -46,7 +46,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive_vec;
 pub mod buffer;
 pub mod checkpoint;
 pub mod codec;
@@ -77,7 +76,6 @@ pub use tracker::{build_tracker, ProvenanceTracker, ShardVertexState};
 
 /// Convenient glob-import of the most frequently used types.
 pub mod prelude {
-    pub use crate::adaptive_vec::{AdaptiveParams, ProvenanceVec, DEFAULT_DENSE_THRESHOLD};
     pub use crate::buffer::heap_buffer::HeapKind;
     pub use crate::buffer::queue_buffer::Discipline;
     pub use crate::checkpoint::{Checkpoint, CheckpointStore, RetentionPolicy, StreamCursor};

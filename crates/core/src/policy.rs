@@ -127,17 +127,6 @@ pub enum PolicyConfig {
         /// Window duration D in time units.
         duration: f64,
     },
-    /// Proportional provenance with the runtime-adaptive representation of
-    /// [`crate::adaptive_vec`]: every vector starts as a sparse list and
-    /// promotes to a dense SIMD vector once its length reaches
-    /// `dense_threshold · |V|` (demoting again on window resets and budget
-    /// shrinks). Semantically identical to the plain proportional policies;
-    /// only the representation — and therefore the cost profile — differs.
-    AdaptiveProportional {
-        /// List density (fraction of `|V|`, in `(0, 1]`) at which a vector
-        /// switches to the dense representation.
-        dense_threshold: f64,
-    },
     /// Budget-based proportional provenance (Section 5.3.2) over sparse lists.
     Budgeted {
         /// Maximum number of provenance entries per vertex (budget C).
@@ -173,9 +162,6 @@ impl PolicyConfig {
             PolicyConfig::Grouped { num_groups, .. } => format!("grouped_m{num_groups}"),
             PolicyConfig::Windowed { window } => format!("windowed_w{window}"),
             PolicyConfig::TimeWindowed { duration } => format!("timewindowed_d{duration}"),
-            PolicyConfig::AdaptiveProportional { dense_threshold } => {
-                format!("prop_adaptive_t{dense_threshold}")
-            }
             PolicyConfig::Budgeted { capacity, .. } => format!("budget_c{capacity}"),
             PolicyConfig::PathTracking { lifo } => {
                 format!("paths_{}", if *lifo { "lifo" } else { "fifo" })
@@ -183,15 +169,6 @@ impl PolicyConfig {
             PolicyConfig::GenerationPaths { most_recent } => {
                 format!("paths_{}", if *most_recent { "mrb" } else { "lrb" })
             }
-        }
-    }
-
-    /// Default adaptive-representation proportional configuration
-    /// (promotion at the [`crate::adaptive_vec::DEFAULT_DENSE_THRESHOLD`]
-    /// list density).
-    pub fn adaptive() -> Self {
-        PolicyConfig::AdaptiveProportional {
-            dense_threshold: crate::adaptive_vec::DEFAULT_DENSE_THRESHOLD,
         }
     }
 
@@ -250,10 +227,8 @@ impl PolicyConfig {
                 put_u8(out, 4);
                 put_f64(out, *duration);
             }
-            PolicyConfig::AdaptiveProportional { dense_threshold } => {
-                put_u8(out, 5);
-                put_f64(out, *dense_threshold);
-            }
+            // Tag 5 is retired (a former adaptive-representation policy):
+            // never reuse it, so old files holding it decode as corrupt.
             PolicyConfig::Budgeted {
                 capacity,
                 keep_fraction,
@@ -325,9 +300,6 @@ impl PolicyConfig {
             }
             3 => PolicyConfig::Windowed { window: r.usize()? },
             4 => PolicyConfig::TimeWindowed { duration: r.f64()? },
-            5 => PolicyConfig::AdaptiveProportional {
-                dense_threshold: r.f64()?,
-            },
             6 => {
                 let capacity = r.usize()?;
                 let keep_fraction = r.f64()?;
@@ -409,14 +381,6 @@ mod tests {
         );
         assert_eq!(PolicyConfig::budget(50).key(), "budget_c50");
         assert_eq!(
-            PolicyConfig::AdaptiveProportional {
-                dense_threshold: 0.5
-            }
-            .key(),
-            "prop_adaptive_t0.5"
-        );
-        assert_eq!(PolicyConfig::adaptive().key(), "prop_adaptive_t0.5");
-        assert_eq!(
             PolicyConfig::PathTracking { lifo: true }.key(),
             "paths_lifo"
         );
@@ -464,7 +428,6 @@ mod tests {
             },
             PolicyConfig::Windowed { window: 5 },
             PolicyConfig::TimeWindowed { duration: 7.5 },
-            PolicyConfig::adaptive(),
             PolicyConfig::budget(3),
             PolicyConfig::Budgeted {
                 capacity: 8,
@@ -486,12 +449,18 @@ mod tests {
         }
     }
 
+    /// Unknown tags are corrupt, the retired adaptive-policy tag 5
+    /// included (followed here by the `f64` threshold it used to carry).
     #[test]
     fn codec_rejects_unknown_tag() {
-        let mut r = crate::codec::ByteReader::new(&[0xFF], "policy");
-        assert!(matches!(
-            PolicyConfig::decode_from(&mut r),
-            Err(crate::TinError::CorruptCheckpoint { .. })
-        ));
+        let mut retired = vec![5];
+        crate::codec::put_f64(&mut retired, 0.5);
+        for bytes in [vec![0xFF], retired] {
+            let mut r = crate::codec::ByteReader::new(&bytes, "policy");
+            assert!(matches!(
+                PolicyConfig::decode_from(&mut r),
+                Err(crate::TinError::CorruptCheckpoint { .. })
+            ));
+        }
     }
 }

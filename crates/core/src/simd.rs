@@ -10,22 +10,15 @@
 //!
 //! ## Who runs on these kernels
 //!
-//! Three provenance representations route their arithmetic through this
-//! module:
-//!
 //! * [`crate::dense_vec::DenseProvenance`] — the paper's fixed dense
-//!   vectors (full proportional, selective, grouped tracking);
-//! * the dense half of [`crate::adaptive_vec::ProvenanceVec`] — vectors
-//!   that *promoted themselves* at runtime because their sparse list grew
-//!   past the configured density threshold. For those, `add_assign` /
-//!   `add_scaled` / `scale` replace branchy ordered-list merges with
-//!   straight-line chunked loops, which is the entire point of promoting;
+//!   vectors (full proportional, selective, grouped tracking), the only
+//!   provenance representation that routes its arithmetic through this
+//!   module;
 //! * the ablation bench, which compares these chunked kernels against the
 //!   scalar [`mod@reference`] implementations.
 //!
-//! The sparse/adaptive split is described in [`crate::sparse_vec`] and
-//! [`crate::adaptive_vec`]; the promotion threshold is configured through
-//! [`crate::policy::PolicyConfig::AdaptiveProportional`].
+//! Sparse lists merge through their own ordered-list kernels in
+//! [`crate::sparse_vec`].
 
 /// Chunk width used by the kernels. Eight `f64`s = one AVX-512 register or two
 /// AVX2 registers; the exact value only matters for the ablation bench.

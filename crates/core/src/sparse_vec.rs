@@ -98,6 +98,10 @@ const UNTRACKED_KEY: Key = 0xFFFF_FFFE;
 /// the end of the list and O(1) fold/append operations can target it.
 const UNKNOWN_KEY: Key = 0xFFFF_FFFF;
 
+/// Checkpoint tag written before every list by
+/// [`SparseProvenance::encode_tagged_into`].
+const SPARSE_REPR_TAG: u8 = 0;
+
 #[inline]
 fn encode(origin: Origin) -> Key {
     match origin {
@@ -945,6 +949,26 @@ impl SparseProvenance {
             return Err(r.corrupt("sparse keys not strictly increasing"));
         }
         Ok(v)
+    }
+
+    /// Append the per-vertex checkpoint encoding of the list-based
+    /// proportional trackers (sparse, windowed, time-windowed, budget): a
+    /// representation tag `0`, then [`Self::encode_into`]. The tag keeps the
+    /// on-disk format of the retired runtime-adaptive vectors, whose dense
+    /// form was tag `1`.
+    pub fn encode_tagged_into(&self, out: &mut Vec<u8>) {
+        crate::codec::put_u8(out, SPARSE_REPR_TAG);
+        self.encode_into(out);
+    }
+
+    /// Decode a vector written by [`Self::encode_tagged_into`]. Any other
+    /// tag, the retired dense tag `1` included, is a corrupt checkpoint.
+    pub fn decode_tagged_from(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<Self> {
+        match r.u8()? {
+            SPARSE_REPR_TAG => Self::decode_from(r),
+            // tin-lint: allow(hot-path-alloc): corrupt-checkpoint error path, not the streaming kernel
+            other => Err(r.corrupt(format!("unknown provenance repr tag {other}"))),
+        }
     }
 }
 

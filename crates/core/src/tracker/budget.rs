@@ -10,7 +10,6 @@
 
 use std::collections::BTreeSet;
 
-use crate::adaptive_vec::ProvenanceVec;
 use crate::error::{Result, TinError};
 use crate::ids::{Origin, VertexId};
 use crate::interaction::Interaction;
@@ -24,7 +23,7 @@ use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
 /// Per-vertex state moved by the shard protocol: the provenance list, the
 /// scalar total, and the vertex's shrink counter.
 pub struct TakenState {
-    vec: ProvenanceVec,
+    vec: SparseProvenance,
     total: Quantity,
     shrinks: u32,
 }
@@ -51,7 +50,7 @@ pub struct BudgetTracker {
     keep: usize,
     criterion: ShrinkCriterion,
     important: BTreeSet<Origin>,
-    vectors: Vec<ProvenanceVec>,
+    vectors: Vec<SparseProvenance>,
     totals: Vec<Quantity>,
     shrinks: Vec<u32>,
     scratch: MergeScratch,
@@ -99,7 +98,7 @@ impl BudgetTracker {
             keep,
             criterion,
             important: important.into_iter().map(Origin::Vertex).collect(),
-            vectors: (0..num_vertices).map(|_| ProvenanceVec::new()).collect(),
+            vectors: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             totals: vec![0.0; num_vertices],
             shrinks: vec![0; num_vertices],
             scratch: MergeScratch::new(),
@@ -156,7 +155,7 @@ impl BudgetTracker {
     }
 
     /// Direct read access to the provenance list of `v`.
-    pub fn vector(&self, v: VertexId) -> &ProvenanceVec {
+    pub fn vector(&self, v: VertexId) -> &SparseProvenance {
         &self.vectors[v.index()]
     }
 
@@ -175,7 +174,7 @@ impl BudgetTracker {
                 // the class), then fill up with the largest remaining entries.
                 // Cold path: shrinks are rare relative to interactions, so
                 // the allocating collect/rebuild is fine here.
-                let mut entries: Vec<(Origin, Quantity)> = vec.collect_entries();
+                let mut entries: Vec<(Origin, Quantity)> = vec.iter().collect();
                 entries.sort_by(|a, b| {
                     let a_imp = self.important.contains(&a.0) || a.0 == Origin::Unknown;
                     let b_imp = self.important.contains(&b.0) || b.0 == Origin::Unknown;
@@ -190,7 +189,7 @@ impl BudgetTracker {
                 if !qty_is_zero(removed_total) {
                     rebuilt.add(Origin::Unknown, removed_total);
                 }
-                *vec = ProvenanceVec::from_sparse(rebuilt);
+                *vec = rebuilt;
             }
         }
         self.shrinks[vertex_index] += 1;
@@ -257,7 +256,7 @@ impl ProvenanceTracker for BudgetTracker {
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
                 + crate::memory::vec_bytes(&self.shrinks)
-                + std::mem::size_of::<ProvenanceVec>() * self.vectors.capacity()
+                + std::mem::size_of::<SparseProvenance>() * self.vectors.capacity()
                 + self.scratch.footprint_bytes(),
         }
     }
@@ -290,14 +289,14 @@ impl MigratableTracker for BudgetTracker {
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
-        taken.vec.encode_into(out);
+        taken.vec.encode_tagged_into(out);
         crate::codec::put_f64(out, taken.total);
         crate::codec::put_u32(out, taken.shrinks);
     }
 
     fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
         Ok(TakenState {
-            vec: ProvenanceVec::decode_from(r)?,
+            vec: SparseProvenance::decode_tagged_from(r)?,
             total: r.f64()?,
             shrinks: r.u32()?,
         })

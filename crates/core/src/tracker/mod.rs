@@ -11,7 +11,6 @@
 //! | [`receipt_order::ReceiptOrderTracker`] | §4.2 | O(\|R\|) / O(\|R\|/\|V\|) expected |
 //! | [`proportional_dense::ProportionalDenseTracker`] | §4.3, Alg. 3 | O(\|V\|²) / O(\|V\|) |
 //! | [`proportional_sparse::ProportionalSparseTracker`] | §4.3 | O(\|V\|·ℓ) / O(ℓ) |
-//! | [`proportional_sparse::ProportionalSparseTracker::adaptive`] | §4.3 (runtime dense/sparse) | O(\|V\|·min(ℓ, \|V\|)) / O(min(ℓ, \|V\|)) |
 //! | [`selective::SelectiveTracker`] | §5.1 | O(k·\|V\|) / O(k) |
 //! | [`grouped::GroupedTracker`] | §5.2 | O(m·\|V\|) / O(m) |
 //! | [`windowed::WindowedTracker`] | §5.3.1 | bounded by window W |
@@ -565,12 +564,6 @@ pub fn build_tracker(
         PolicyConfig::TimeWindowed { duration } => Box::new(
             windowed_time::TimeWindowedTracker::new(num_vertices, *duration)?,
         ),
-        PolicyConfig::AdaptiveProportional { dense_threshold } => {
-            Box::new(proportional_sparse::ProportionalSparseTracker::adaptive(
-                num_vertices,
-                *dense_threshold,
-            )?)
-        }
         PolicyConfig::Budgeted {
             capacity,
             keep_fraction,

@@ -8,74 +8,47 @@
 //! work — which, as Figure 6 of the paper shows, still grows superlinearly
 //! over long streams because the lists keep getting longer.
 //!
-//! Since PR 2 the tracker stores [`ProvenanceVec`]s: merges happen in
-//! place on the destination lists (no per-interaction allocation), full
-//! relays into empty vertices are O(1) buffer swaps, and — under
-//! [`ProportionalSparseTracker::adaptive`] — a vector whose list density
-//! crosses the configured threshold promotes itself to a dense SIMD vector
-//! (the runtime version of the paper's dense-vs-sparse tradeoff).
+//! The tracker stores [`SparseProvenance`] lists directly: merges happen in
+//! place on the destination lists (no per-interaction allocation) and full
+//! relays into empty vertices are O(1) buffer swaps.
 
-use crate::adaptive_vec::{AdaptiveParams, ProvenanceVec};
-use crate::error::Result;
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
 use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
+use crate::sparse_vec::SparseProvenance;
 use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
 
-/// Per-vertex state moved by the shard protocol: the provenance vector (its
-/// packed SoA buffers move wholesale, sparse or dense) plus the scalar total.
+/// Per-vertex state moved by the shard protocol: the provenance list (its
+/// packed SoA buffers move wholesale) plus the scalar total.
 pub struct TakenState {
-    vec: ProvenanceVec,
+    vec: SparseProvenance,
     total: Quantity,
 }
 
-/// Proportional provenance with sparse list representations (optionally
-/// adaptive, see [`Self::adaptive`]).
+/// Proportional provenance with sparse list representations.
 #[derive(Clone, Debug)]
 pub struct ProportionalSparseTracker {
-    vectors: Vec<ProvenanceVec>,
+    vectors: Vec<SparseProvenance>,
     totals: Vec<Quantity>,
-    params: AdaptiveParams,
     processed: usize,
     monitor: Option<SpikeMonitor>,
 }
 
 impl ProportionalSparseTracker {
-    /// Create a tracker for `num_vertices` vertices whose vectors stay
-    /// sparse forever (the paper's plain sparse representation).
+    /// Create a tracker for `num_vertices` vertices.
     pub fn new(num_vertices: usize) -> Self {
-        Self::with_params(num_vertices, AdaptiveParams::sparse_only())
-    }
-
-    /// Create a tracker whose vectors promote to dense SIMD vectors once
-    /// their list length reaches `dense_threshold · num_vertices` (see
-    /// [`crate::adaptive_vec`]).
-    ///
-    /// # Errors
-    /// Returns [`crate::TinError::InvalidConfig`] unless
-    /// `0 < dense_threshold ≤ 1`.
-    pub fn adaptive(num_vertices: usize, dense_threshold: f64) -> Result<Self> {
-        Ok(Self::with_params(
-            num_vertices,
-            AdaptiveParams::new(num_vertices, dense_threshold)?,
-        ))
-    }
-
-    /// Create a tracker with explicit adaptivity parameters.
-    pub fn with_params(num_vertices: usize, params: AdaptiveParams) -> Self {
         ProportionalSparseTracker {
-            vectors: (0..num_vertices).map(|_| ProvenanceVec::new()).collect(),
+            vectors: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             totals: vec![0.0; num_vertices],
-            params,
             processed: 0,
             monitor: None,
         }
     }
 
     /// Direct read access to the provenance vector of `v`.
-    pub fn vector(&self, v: VertexId) -> &ProvenanceVec {
+    pub fn vector(&self, v: VertexId) -> &SparseProvenance {
         &self.vectors[v.index()]
     }
 
@@ -101,21 +74,11 @@ impl ProportionalSparseTracker {
     pub fn total_entries(&self) -> usize {
         self.vectors.iter().map(|p| p.len()).sum()
     }
-
-    /// Number of vectors currently using the dense representation (always 0
-    /// for a [`Self::new`] tracker).
-    pub fn dense_vector_count(&self) -> usize {
-        self.vectors.iter().filter(|p| p.is_dense()).count()
-    }
 }
 
 impl ProvenanceTracker for ProportionalSparseTracker {
     fn name(&self) -> &'static str {
-        if self.params.promotion_enabled() {
-            "Proportional (adaptive)"
-        } else {
-            "Proportional (sparse)"
-        }
+        "Proportional (sparse)"
     }
 
     fn num_vertices(&self) -> usize {
@@ -149,7 +112,6 @@ impl ProvenanceTracker for ProportionalSparseTracker {
             self.totals[d] += r.qty;
             self.totals[s] = qty_clamp_non_negative(src_total - r.qty);
         }
-        dst_vec.maybe_promote(&self.params);
         if let Some(monitor) = &mut self.monitor {
             let fp_after = src_vec.footprint_bytes() + dst_vec.footprint_bytes();
             monitor.apply_delta(fp_after as isize - fp_before as isize);
@@ -170,7 +132,7 @@ impl ProvenanceTracker for ProportionalSparseTracker {
             entries_bytes: self.vectors.iter().map(|p| p.footprint_bytes()).sum(),
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
-                + std::mem::size_of::<ProvenanceVec>() * self.vectors.capacity(),
+                + std::mem::size_of::<SparseProvenance>() * self.vectors.capacity(),
         }
     }
 
@@ -200,13 +162,13 @@ impl MigratableTracker for ProportionalSparseTracker {
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
-        taken.vec.encode_into(out);
+        taken.vec.encode_tagged_into(out);
         crate::codec::put_f64(out, taken.total);
     }
 
     fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
         Ok(TakenState {
-            vec: ProvenanceVec::decode_from(r)?,
+            vec: SparseProvenance::decode_tagged_from(r)?,
             total: r.f64()?,
         })
     }
@@ -259,42 +221,6 @@ mod tests {
         }
     }
 
-    /// The adaptive tracker implements the same policy again — and with an
-    /// aggressive threshold it must actually exercise the dense
-    /// representation on the running example.
-    #[test]
-    fn adaptive_matches_sparse_and_promotes() {
-        let mut adaptive = ProportionalSparseTracker::adaptive(3, 0.1).unwrap();
-        let mut sparse = ProportionalSparseTracker::new(3);
-        for r in paper_running_example() {
-            adaptive.process(&r);
-            sparse.process(&r);
-            for i in 0..3u32 {
-                assert!(qty_approx_eq(
-                    adaptive.buffered(v(i)),
-                    sparse.buffered(v(i))
-                ));
-                assert!(
-                    adaptive.origins(v(i)).approx_eq(&sparse.origins(v(i))),
-                    "origin mismatch at v{i} after {r:?}"
-                );
-            }
-        }
-        assert_eq!(adaptive.name(), "Proportional (adaptive)");
-        assert!(adaptive.check_all_invariants());
-        // Threshold 0.1 over 3 vertices promotes at the minimum list length
-        // (4), which the running example never reaches — feed a mixing hub.
-        let mut hub = ProportionalSparseTracker::adaptive(8, 0.1).unwrap();
-        for i in 1..8u32 {
-            hub.process(&Interaction::new(i, 0u32, i as f64, 1.0));
-        }
-        assert!(hub.dense_vector_count() > 0, "hub vector must promote");
-        assert!(hub.check_all_invariants());
-        // Invalid thresholds are rejected.
-        assert!(ProportionalSparseTracker::adaptive(8, 0.0).is_err());
-        assert!(ProportionalSparseTracker::adaptive(8, 2.0).is_err());
-    }
-
     /// Final vector values of Table 5, read through the sparse representation.
     #[test]
     fn table5_final_state() {
@@ -320,7 +246,6 @@ mod tests {
         assert!(qty_approx_eq(t.vector(v(2)).get_vertex(v(1)), 3.0));
         // Dense representation would store 3 slots; sparse stores 1 entry.
         assert_eq!(t.total_entries(), 1);
-        assert_eq!(t.dense_vector_count(), 0);
     }
 
     #[test]

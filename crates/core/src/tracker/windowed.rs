@@ -10,20 +10,20 @@
 //! recently reset, which guarantees provenance for quantities born between
 //! `W` and `2W` interactions ago.
 
-use crate::adaptive_vec::ProvenanceVec;
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
 use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
+use crate::sparse_vec::SparseProvenance;
 use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: both vector families plus
 /// the scalar total.
 pub struct TakenState {
-    odd: ProvenanceVec,
-    even: ProvenanceVec,
+    odd: SparseProvenance,
+    even: SparseProvenance,
     total: Quantity,
 }
 
@@ -39,8 +39,8 @@ enum ActiveVector {
 #[derive(Clone, Debug)]
 pub struct WindowedTracker {
     window: usize,
-    odd: Vec<ProvenanceVec>,
-    even: Vec<ProvenanceVec>,
+    odd: Vec<SparseProvenance>,
+    even: Vec<SparseProvenance>,
     totals: Vec<Quantity>,
     processed: usize,
     /// How many window resets have happened so far.
@@ -61,8 +61,8 @@ impl WindowedTracker {
         }
         Ok(WindowedTracker {
             window,
-            odd: (0..num_vertices).map(|_| ProvenanceVec::new()).collect(),
-            even: (0..num_vertices).map(|_| ProvenanceVec::new()).collect(),
+            odd: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
+            even: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             totals: vec![0.0; num_vertices],
             processed: 0,
             resets: 0,
@@ -125,7 +125,7 @@ impl WindowedTracker {
         self.window + since_reset
     }
 
-    fn apply(vectors: &mut [ProvenanceVec], totals: &[Quantity], r: &Interaction) {
+    fn apply(vectors: &mut [SparseProvenance], totals: &[Quantity], r: &Interaction) {
         let s = r.src.index();
         let d = r.dst.index();
         let (src_vec, dst_vec) = split_src_dst(vectors, s, d);
@@ -214,7 +214,7 @@ impl ProvenanceTracker for WindowedTracker {
                 .sum(),
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
-                + std::mem::size_of::<ProvenanceVec>()
+                + std::mem::size_of::<SparseProvenance>()
                     * (self.odd.capacity() + self.even.capacity()),
         }
     }
@@ -265,15 +265,15 @@ impl MigratableTracker for WindowedTracker {
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
-        taken.odd.encode_into(out);
-        taken.even.encode_into(out);
+        taken.odd.encode_tagged_into(out);
+        taken.even.encode_tagged_into(out);
         crate::codec::put_f64(out, taken.total);
     }
 
     fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
         Ok(TakenState {
-            odd: ProvenanceVec::decode_from(r)?,
-            even: ProvenanceVec::decode_from(r)?,
+            odd: SparseProvenance::decode_tagged_from(r)?,
+            even: SparseProvenance::decode_tagged_from(r)?,
             total: r.f64()?,
         })
     }

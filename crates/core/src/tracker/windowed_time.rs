@@ -15,20 +15,20 @@
 //! quantity born within the last `D` time units is exact; older quantities
 //! may be attributed to the artificial vertex α.
 
-use crate::adaptive_vec::ProvenanceVec;
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
 use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
+use crate::sparse_vec::SparseProvenance;
 use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: both vector families plus
 /// the scalar total.
 pub struct TakenState {
-    odd: ProvenanceVec,
-    even: ProvenanceVec,
+    odd: SparseProvenance,
+    even: SparseProvenance,
     total: Quantity,
 }
 
@@ -38,8 +38,8 @@ pub struct TakenState {
 #[derive(Clone, Debug)]
 pub struct TimeWindowedTracker {
     duration: f64,
-    odd: Vec<ProvenanceVec>,
-    even: Vec<ProvenanceVec>,
+    odd: Vec<SparseProvenance>,
+    even: Vec<SparseProvenance>,
     totals: Vec<Quantity>,
     processed: usize,
     resets: usize,
@@ -62,8 +62,8 @@ impl TimeWindowedTracker {
         }
         Ok(TimeWindowedTracker {
             duration,
-            odd: (0..num_vertices).map(|_| ProvenanceVec::new()).collect(),
-            even: (0..num_vertices).map(|_| ProvenanceVec::new()).collect(),
+            odd: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
+            even: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             totals: vec![0.0; num_vertices],
             processed: 0,
             resets: 0,
@@ -122,7 +122,7 @@ impl TimeWindowedTracker {
         }
     }
 
-    fn apply(vectors: &mut [ProvenanceVec], totals: &[Quantity], r: &Interaction) {
+    fn apply(vectors: &mut [SparseProvenance], totals: &[Quantity], r: &Interaction) {
         let s = r.src.index();
         let d = r.dst.index();
         let (src_vec, dst_vec) = split_src_dst(vectors, s, d);
@@ -213,7 +213,7 @@ impl ProvenanceTracker for TimeWindowedTracker {
                 .sum(),
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
-                + std::mem::size_of::<ProvenanceVec>()
+                + std::mem::size_of::<SparseProvenance>()
                     * (self.odd.capacity() + self.even.capacity()),
         }
     }
@@ -255,15 +255,15 @@ impl MigratableTracker for TimeWindowedTracker {
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
-        taken.odd.encode_into(out);
-        taken.even.encode_into(out);
+        taken.odd.encode_tagged_into(out);
+        taken.even.encode_tagged_into(out);
         crate::codec::put_f64(out, taken.total);
     }
 
     fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
         Ok(TakenState {
-            odd: ProvenanceVec::decode_from(r)?,
-            even: ProvenanceVec::decode_from(r)?,
+            odd: SparseProvenance::decode_tagged_from(r)?,
+            even: SparseProvenance::decode_tagged_from(r)?,
             total: r.f64()?,
         })
     }

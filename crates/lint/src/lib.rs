@@ -17,8 +17,8 @@
 //!   implementation (`impl_migration_hooks!`/`impl_spike_monitor_hooks!`),
 //!   so the factory trackers cannot drift apart again.
 //! * **`hot-path-alloc`** — no `Vec::new`/`vec!`/`format!`/`.collect()`/
-//!   `Box::new` in the kernel modules (`sparse_vec`, `dense_vec`,
-//!   `adaptive_vec`, `simd`), whose steady state is allocation-free.
+//!   `Box::new` in the kernel modules (`sparse_vec`, `dense_vec`, `simd`),
+//!   whose steady state is allocation-free.
 //! * **`checkpoint-durability`** — no `write_all`/`fs::write` without an
 //!   `sync_all`/`sync_data` in the same function inside the checkpoint
 //!   module: a checkpoint visible under its final name must be on disk,

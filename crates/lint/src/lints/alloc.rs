@@ -1,7 +1,7 @@
 //! L4 — hot-path allocation: the kernel modules (`sparse_vec.rs`,
-//! `dense_vec.rs`, `adaptive_vec.rs`, `simd.rs`) sit inside the
-//! per-interaction inner loop, and the zero-allocation property is load
-//! bearing — the alloc-counting tests pin it down for the steady state.
+//! `dense_vec.rs`, `simd.rs`) sit inside the per-interaction inner loop,
+//! and the zero-allocation property is load bearing — the alloc-counting
+//! tests pin it down for the steady state.
 //! `Vec::new`/`vec![...]`/`format!`/`.collect()`/`Box::new` in these files
 //! either allocates on the hot path or is a cold-path exception that
 //! deserves a justified allow-directive so the next reader knows which.

@@ -20,12 +20,7 @@ use crate::diagnostics::Diagnostic;
 use std::path::{Path, PathBuf};
 
 /// Kernel modules bound by the hot-path allocation lint.
-pub const KERNEL_MODULES: &[&str] = &[
-    "sparse_vec.rs",
-    "dense_vec.rs",
-    "adaptive_vec.rs",
-    "simd.rs",
-];
+pub const KERNEL_MODULES: &[&str] = &["sparse_vec.rs", "dense_vec.rs", "simd.rs"];
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "fixtures", "vendor", ".git"];
@@ -175,5 +170,18 @@ mod unit {
         );
         assert!(applicable_lints("crates/cli/src/lib.rs").is_empty());
         assert!(applicable_lints("crates/lint/src/lib.rs").is_empty());
+    }
+
+    /// A renamed or deleted kernel module would silently drop out of the
+    /// hot-path-alloc lint, so every entry must name a real file.
+    #[test]
+    fn every_kernel_module_exists() {
+        let core_src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/src");
+        for module in KERNEL_MODULES {
+            assert!(
+                core_src.join(module).is_file(),
+                "KERNEL_MODULES names {module}, which is not under crates/core/src/"
+            );
+        }
     }
 }

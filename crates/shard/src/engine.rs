@@ -153,7 +153,6 @@
 //! routes each vertex state to its new owner.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::path::PathBuf;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -1120,22 +1119,6 @@ impl ShardedEngine {
             newborn_quantity: self.newborn_quantity,
             peak_footprint_bytes: self.peak_footprint,
         }
-    }
-
-    /// Capture the current state and save it into `store` (atomic write,
-    /// retry, retention). Returns the checkpoint file's path.
-    ///
-    /// # Errors
-    /// Propagates capture errors and the store's [`TinError::Io`] failures.
-    pub fn checkpoint_to(&mut self, store: &mut CheckpointStore) -> Result<PathBuf> {
-        let checkpoint = self.checkpoint()?;
-        let path = store.save(&checkpoint)?;
-        self.checkpoints_taken += 1;
-        let stats = store.last_save_stats();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.record_save(stats);
-        }
-        Ok(path)
     }
 
     /// Rebuild a sharded engine from a durable [`Checkpoint`], repartitioned

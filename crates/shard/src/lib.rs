@@ -68,7 +68,6 @@ mod tests {
         });
         configs.push(PolicyConfig::Windowed { window: 3 });
         configs.push(PolicyConfig::TimeWindowed { duration: 2.5 });
-        configs.push(PolicyConfig::adaptive());
         configs.push(PolicyConfig::budget(4));
         configs.push(PolicyConfig::PathTracking { lifo: true });
         configs.push(PolicyConfig::GenerationPaths { most_recent: false });

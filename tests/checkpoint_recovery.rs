@@ -61,7 +61,6 @@ fn all_configs(num_vertices: usize) -> Vec<PolicyConfig> {
     });
     configs.push(PolicyConfig::Windowed { window: 5 });
     configs.push(PolicyConfig::TimeWindowed { duration: 7.5 });
-    configs.push(PolicyConfig::adaptive());
     configs.push(PolicyConfig::budget(3));
     configs.push(PolicyConfig::PathTracking { lifo: false });
     configs.push(PolicyConfig::GenerationPaths { most_recent: true });
@@ -183,6 +182,176 @@ proptest! {
             }
         }
     }
+}
+
+/// `prop_sparse`: 230 bytes.
+const GOLDEN_PROP_SPARSE: &str = concat!(
+    "54494e434b505400010000000a0000001f161f1e000603000000000000002900",
+    "0000b53265cb0400000000000000010000000000001440000000000000324000",
+    "0000000000224000000000000000008f0000006575c49f030000000000000000",
+    "0000002900000000000000000200000000000000010000000200000034333333",
+    "3333f33f9a9999999999e93f0000000000000040010000001100000000000000",
+    "0000000000000000000000000000000000020000002900000000000000000200",
+    "00000000000001000000020000003333333333331740333333333333f33f0000",
+    "000000001c40",
+);
+
+/// `windowed_w3`: 300 bytes.
+const GOLDEN_WINDOWED: &str = concat!(
+    "54494e434b50540001000000110000002819323d030300000000000000030000",
+    "000000000029000000b53265cb04000000000000000100000000000014400000",
+    "00000000324000000000000022400000000000000000ce000000b4db98190300",
+    "000000000000000000003e00000000000000000100000000000000ffffffff00",
+    "000000000000400002000000000000000100000002000000343333333333f33f",
+    "9a9999999999e93f0000000000000040010000001a0000000000000000000000",
+    "00000000000000000000000000000000000000000000020000004a0000000000",
+    "000000020000000000000001000000ffffffff00000000000010400000000000",
+    "0008400002000000000000000100000002000000333333333333174033333333",
+    "3333f33f0000000000001c40",
+);
+
+/// `timewindowed_d2.5`: 312 bytes.
+const GOLDEN_TIME_WINDOWED: &str = concat!(
+    "54494e434b5054000100000011000000ec7211e3040000000000000440030000",
+    "000000000029000000b53265cb04000000000000000100000000000014400000",
+    "00000000324000000000000022400000000000000000da0000003c9912f70300",
+    "000000000000000000003e0000000000000000020000000000000002000000ff",
+    "ffffff9a9999999999e93f343333333333f33f000100000000000000ffffffff",
+    "00000000000000400000000000000040010000001a0000000000000000000000",
+    "0000000000000000000000000000000000000000000002000000560000000000",
+    "00000003000000000000000100000002000000ffffffff000000000000104033",
+    "3333333333f33fccccccccccccfc3f00020000000000000001000000ffffffff",
+    "000000000000104000000000000008400000000000001c40",
+);
+
+/// `budget_c2`: 266 bytes.
+const GOLDEN_BUDGET: &str = concat!(
+    "54494e434b5054000100000022000000c9c6d47c060200000000000000666666",
+    "666666e63f000000000000000000030000000000000029000000b53265cb0400",
+    "0000000000000100000000000014400000000000003240000000000000224000",
+    "000000000000009b0000002eab7e1a0300000000000000000000002d00000000",
+    "0000000002000000000000000100000002000000343333333333f33f9a999999",
+    "9999e93f00000000000000400000000001000000150000000000000000000000",
+    "0000000000000000000000000000000000020000002d00000000000000000200",
+    "00000000000001000000020000003333333333331740333333333333f33f0000",
+    "000000001c4000000000",
+);
+
+/// Golden `Checkpoint::encode()` bytes for the list-based proportional
+/// trackers: the paper's running example on 3 vertices, captured by the
+/// sequential engine after [`GOLDEN_PREFIX`] of its 6 interactions. They
+/// pin the on-disk format, including the representation tag `0` written
+/// before every provenance list.
+fn golden_cases() -> [(PolicyConfig, &'static str); 4] {
+    [
+        (
+            PolicyConfig::Plain(SelectionPolicy::ProportionalSparse),
+            GOLDEN_PROP_SPARSE,
+        ),
+        (PolicyConfig::Windowed { window: 3 }, GOLDEN_WINDOWED),
+        (
+            PolicyConfig::TimeWindowed { duration: 2.5 },
+            GOLDEN_TIME_WINDOWED,
+        ),
+        (PolicyConfig::budget(2), GOLDEN_BUDGET),
+    ]
+}
+
+/// Interactions of the running example captured in the golden bytes.
+const GOLDEN_PREFIX: usize = 4;
+
+fn from_hex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+/// The golden bytes are what today's encoder writes, and resuming from them
+/// (sequentially and into 2 shards) finishes the stream bit-identically to
+/// an uninterrupted run.
+#[test]
+fn golden_checkpoints_encode_and_resume_identically() {
+    let stream = tin_core::interaction::paper_running_example();
+    for (config, hex) in golden_cases() {
+        let golden = from_hex(hex);
+        let mut engine = ProvenanceEngine::new(&config, 3).unwrap();
+        engine.process_all(&stream[..GOLDEN_PREFIX]).unwrap();
+        let encoded = engine.checkpoint().unwrap().encode().unwrap();
+        assert!(encoded == golden, "{} encodes new bytes", config.key());
+
+        let mut reference = ProvenanceEngine::new(&config, 3).unwrap();
+        reference.process_all(&stream).unwrap();
+        let ckpt = Checkpoint::decode(&golden, "golden").unwrap();
+        let mut resumed = ProvenanceEngine::resume_from(&ckpt).unwrap();
+        resumed.process_all(&stream[GOLDEN_PREFIX..]).unwrap();
+        assert_matches_reference(
+            (0..3u32)
+                .map(|v| resumed.buffered(VertexId::new(v)))
+                .collect(),
+            (0..3u32)
+                .map(|v| resumed.origins(VertexId::new(v)))
+                .collect(),
+            &reference,
+            &format!("golden->seq under {}", config.key()),
+        );
+        let mut sharded = ShardedEngine::resume_from(&ckpt, 2).unwrap();
+        sharded.process_all(&stream[GOLDEN_PREFIX..]).unwrap();
+        assert_matches_reference(
+            sharded.buffered_all().unwrap(),
+            (0..3u32)
+                .map(|v| sharded.origins(VertexId::new(v)).unwrap())
+                .collect(),
+            &reference,
+            &format!("golden->sharded2 under {}", config.key()),
+        );
+    }
+}
+
+/// A provenance vector stored under the retired dense representation tag
+/// `1` (slot count, one `f64` per slot) is corrupt, not restored.
+#[test]
+fn retired_dense_vector_tag_is_corrupt() {
+    let mut ckpt = Checkpoint::decode(&from_hex(GOLDEN_PROP_SPARSE), "").unwrap();
+    let mut payload = vec![1u8];
+    tin_core::codec::put_usize(&mut payload, 5);
+    for slot in [2.0, 1.0, 0.0, 0.0, 0.0] {
+        tin_core::codec::put_f64(&mut payload, slot);
+    }
+    tin_core::codec::put_f64(&mut payload, 3.0);
+    ckpt.states[0].1 = payload;
+    let ckpt = Checkpoint::decode(&ckpt.encode().unwrap(), "").unwrap();
+    assert!(matches!(
+        ProvenanceEngine::resume_from(&ckpt),
+        Err(TinError::CorruptCheckpoint { .. })
+    ));
+    assert!(matches!(
+        ShardedEngine::resume_from(&ckpt, 2),
+        Err(TinError::CorruptCheckpoint { .. })
+    ));
+}
+
+/// A policy section carrying the retired adaptive-proportional tag `5`
+/// (with the `f64` threshold it used to carry) is corrupt.
+#[test]
+fn retired_adaptive_policy_tag_is_corrupt() {
+    use tin_core::codec::{crc32, put_f64, put_u32, put_usize};
+    let golden = from_hex(GOLDEN_PROP_SPARSE);
+    // Magic and schema version, then the policy section `len | crc32 | body`.
+    let header = tin_core::checkpoint::MAGIC.len() + 4;
+    let policy_len = u32::from_le_bytes(golden[header..header + 4].try_into().unwrap()) as usize;
+    let mut body = vec![5u8];
+    put_f64(&mut body, 0.5);
+    put_usize(&mut body, 3);
+    let mut bytes = golden[..header].to_vec();
+    put_u32(&mut bytes, body.len() as u32);
+    put_u32(&mut bytes, crc32(&body));
+    bytes.extend_from_slice(&body);
+    bytes.extend_from_slice(&golden[header + 8 + policy_len..]);
+    assert!(matches!(
+        Checkpoint::decode(&bytes, ""),
+        Err(TinError::CorruptCheckpoint { section, .. }) if section == "policy"
+    ));
 }
 
 /// Truncating a checkpoint file at every prefix length is detected by the

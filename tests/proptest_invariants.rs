@@ -102,17 +102,30 @@ proptest! {
         }
     }
 
-    /// Dense and sparse proportional trackers are interchangeable.
+    /// Dense and sparse proportional trackers are interchangeable: same
+    /// buffered totals and origin sets at every vertex after every
+    /// interaction, not just at the end of the stream.
     #[test]
     fn proportional_representations_agree(stream in interaction_stream(60)) {
         let n = MAX_VERTICES as usize;
         let mut dense = ProportionalDenseTracker::new(n);
         let mut sparse = ProportionalSparseTracker::new(n);
-        dense.process_all(&stream);
-        sparse.process_all(&stream);
-        for i in 0..n {
-            let v = VertexId::from(i);
-            prop_assert!(dense.origins(v).approx_eq(&sparse.origins(v)), "mismatch at {}", v);
+        for (step, r) in stream.iter().enumerate() {
+            dense.process(r);
+            sparse.process(r);
+            for i in 0..n {
+                let v = VertexId::from(i);
+                prop_assert!(
+                    (dense.buffered(v) - sparse.buffered(v)).abs() < 1e-6,
+                    "buffered mismatch at {} after step {}: {} vs {}",
+                    v, step, dense.buffered(v), sparse.buffered(v)
+                );
+                prop_assert!(
+                    dense.origins(v).approx_eq(&sparse.origins(v)),
+                    "origin mismatch at {} after step {}: {:?} vs {:?}",
+                    v, step, dense.origins(v), sparse.origins(v)
+                );
+            }
         }
     }
 

@@ -57,7 +57,6 @@ fn all_configs(num_vertices: usize) -> Vec<PolicyConfig> {
     });
     configs.push(PolicyConfig::Windowed { window: 5 });
     configs.push(PolicyConfig::TimeWindowed { duration: 7.5 });
-    configs.push(PolicyConfig::adaptive());
     configs.push(PolicyConfig::budget(3));
     configs.push(PolicyConfig::PathTracking { lifo: false });
     configs.push(PolicyConfig::GenerationPaths { most_recent: true });
