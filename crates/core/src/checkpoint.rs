@@ -70,8 +70,7 @@ pub const FILE_EXTENSION: &str = "tin";
 /// Stream position and flow-accounting counters at the moment of capture.
 ///
 /// Restoring a checkpoint seeds the engine's counters from this cursor so the
-/// resumed run's [`crate::engine::EngineReport`] matches an uninterrupted one
-/// (modulo wall-clock runtime, which is genuinely different).
+/// resumed run's [`crate::engine::EngineReport`] matches an uninterrupted one.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamCursor {
     /// Interactions processed before the checkpoint was taken. Resume skips

@@ -10,7 +10,7 @@
 //! * flow accounting (how much quantity was relayed vs. newly generated —
 //!   the two cases of Algorithm 1),
 //! * periodic checkpoints of the provenance state (see [`crate::snapshot`]),
-//! * and throughput reporting for capacity planning.
+//! * and footprint accounting (the peak logical footprint of the run).
 //!
 //! [`ProvenanceEngine`] packages all of that behind one streaming interface,
 //! and [`run_ensemble`] runs several policies side by side over the same
@@ -32,7 +32,7 @@ use crate::snapshot::ProvenanceSnapshot;
 use crate::stream::InteractionSource;
 use crate::tracker::{build_tracker, ProvenanceTracker};
 
-/// Flow accounting and performance figures for a finished (or in-progress)
+/// Flow accounting and footprint figures for a finished (or in-progress)
 /// engine run.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineReport {
@@ -40,8 +40,6 @@ pub struct EngineReport {
     pub policy: String,
     /// Number of interactions processed.
     pub interactions: usize,
-    /// Wall-clock seconds spent inside the tracker.
-    pub runtime_secs: f64,
     /// Total quantity moved by all interactions (Σ r.q).
     pub total_quantity: Quantity,
     /// Quantity that was newly generated at source vertices
@@ -51,26 +49,22 @@ pub struct EngineReport {
     pub relayed_quantity: Quantity,
     /// Logical provenance footprint at the end of the run.
     pub footprint: FootprintBreakdown,
-    /// Peak logical provenance footprint observed during the run (sampled
-    /// every [`ProvenanceEngine::FOOTPRINT_SAMPLE_INTERVAL`] interactions, so
-    /// short-lived spikes between samples may be missed). At least as large
-    /// as `footprint.total()`.
+    /// Peak logical provenance footprint observed during the run: the
+    /// maximum over the footprint samples, taken every
+    /// `max(`[`ProvenanceEngine::FOOTPRINT_SAMPLE_INTERVAL`]`, |V|/64)`
+    /// interactions (or every
+    /// [`ProvenanceEngine::with_footprint_sample_interval`]), whenever the
+    /// tracker's spike monitor fires, and at the report itself. The sharded
+    /// engine samples each shard every 1024 locally processed interactions
+    /// instead and reports the peak of the summed shard samples. A spike on
+    /// an unmonitored tracker that falls between two samples is missed. At
+    /// least as large as `footprint.total()`.
     pub peak_footprint_bytes: usize,
     /// Number of checkpoints recorded during the run.
     pub checkpoints_taken: usize,
 }
 
 impl EngineReport {
-    /// Interactions processed per second (0 if the run took no measurable
-    /// time).
-    pub fn throughput(&self) -> f64 {
-        if self.runtime_secs <= 0.0 {
-            0.0
-        } else {
-            self.interactions as f64 / self.runtime_secs
-        }
-    }
-
     /// Fraction of the moved quantity that was newly generated rather than
     /// relayed (1.0 when every interaction was paid out of fresh units).
     pub fn newborn_fraction(&self) -> f64 {
@@ -180,7 +174,6 @@ pub struct ProvenanceEngine {
     total_quantity: Quantity,
     newborn_quantity: Quantity,
     peak_footprint_bytes: usize,
-    busy_secs: f64,
     /// Explicit footprint-sampling interval; `None` uses the default
     /// schedule `max(FOOTPRINT_SAMPLE_INTERVAL, |V|/64)`.
     footprint_sample_interval: Option<usize>,
@@ -192,16 +185,16 @@ pub struct ProvenanceEngine {
 }
 
 impl ProvenanceEngine {
-    /// Minimum number of interactions between two peak-footprint samples.
-    /// Footprint computation is O(|V|), so the actual interval scales with
-    /// the vertex count (`max(1024, |V|/64)`) to keep the amortised
-    /// accounting overhead bounded by a small constant per interaction —
-    /// provenance footprints grow smoothly, so coarser sampling on huge
-    /// graphs loses almost nothing. Trackers with a spike monitor (see
-    /// [`ProvenanceTracker::arm_spike_monitor`]) additionally push a
-    /// notification whenever their footprint estimate drifts by more than
-    /// [`Self::SPIKE_FRACTION`] between samples, so short-lived spikes no
-    /// longer hide between the periodic samples.
+    /// Minimum number of interactions between two peak-footprint samples;
+    /// the default interval is `max(1024, |V|/64)`. A sample reads the
+    /// tracker's O(1) [`ProvenanceTracker::footprint`], so the schedule
+    /// sets the resolution of the peak, not its cost. It is kept as it is
+    /// because the peak travels in every checkpoint cursor, and a new
+    /// schedule would change checkpoint bytes. Trackers with a spike monitor
+    /// (see [`ProvenanceTracker::arm_spike_monitor`]) additionally push a
+    /// notification whenever their entries bytes drift by more than
+    /// [`Self::SPIKE_FRACTION`] between samples, so short-lived spikes do
+    /// not hide between the periodic samples.
     pub const FOOTPRINT_SAMPLE_INTERVAL: usize = 1024;
 
     /// Relative footprint drift at which a tracker-pushed spike notification
@@ -229,7 +222,6 @@ impl ProvenanceEngine {
             total_quantity: 0.0,
             newborn_quantity: 0.0,
             peak_footprint_bytes: 0,
-            busy_secs: 0.0,
             footprint_sample_interval: None,
             obs: None,
             telemetry: None,
@@ -239,8 +231,9 @@ impl ProvenanceEngine {
     /// Sample the footprint every `every` interactions instead of the
     /// default `max(`[`Self::FOOTPRINT_SAMPLE_INTERVAL`]`, |V|/64)`
     /// schedule. Spike-monitor notifications still force out-of-schedule
-    /// samples. Footprint computation is O(|V|), so a small interval on a
-    /// large graph trades throughput for timeline resolution.
+    /// samples. A sample costs O(1), so a small interval costs little; it
+    /// changes the reported peak (and the checkpoint cursors that carry it),
+    /// never the provenance state.
     ///
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
@@ -254,7 +247,8 @@ impl ProvenanceEngine {
         Ok(self)
     }
 
-    /// Attach an observability unit: per-interaction tracker latency,
+    /// Attach an observability unit: per-interaction tracker latency (the
+    /// only reason the engine reads the clock per interaction),
     /// footprint samples, spike firings and checkpoint phase timings land
     /// in its metrics, checkpoint spans on its flight recorder. All metric
     /// handles are preregistered here, so the instrumented hot path stays
@@ -434,18 +428,21 @@ impl ProvenanceEngine {
         self.total_quantity += r.qty;
         self.newborn_quantity += newborn;
 
-        let start = Instant::now();
-        self.tracker.process(r);
-        let elapsed = start.elapsed();
-        self.busy_secs += elapsed.as_secs_f64();
-        if let Some(o) = self.obs.as_deref_mut() {
-            // Reuses the latency measurement the engine takes anyway; the
-            // record itself is an array index plus integer adds. The sketch
-            // offers are linear scans over a pre-sized table — also
-            // allocation-free.
-            o.obs.metrics.observe_duration(o.latency_ns, elapsed);
-            o.obs.hot_vertices.offer(r.src.raw(), 1);
-            o.obs.hot_vertices.offer(r.dst.raw(), 1);
+        match self.obs.as_deref_mut() {
+            // Uninstrumented: no clock reads on the per-interaction path.
+            None => self.tracker.process(r),
+            Some(o) => {
+                // The record is an array index plus integer adds; the sketch
+                // offers are linear scans over a pre-sized table — both
+                // allocation-free.
+                let start = Instant::now();
+                self.tracker.process(r);
+                o.obs
+                    .metrics
+                    .observe_duration(o.latency_ns, start.elapsed());
+                o.obs.hot_vertices.offer(r.src.raw(), 1);
+                o.obs.hot_vertices.offer(r.dst.raw(), 1);
+            }
         }
 
         self.last_time = Some(r.time.0);
@@ -522,7 +519,6 @@ impl ProvenanceEngine {
         EngineReport {
             policy: self.policy_key.clone(),
             interactions: self.processed,
-            runtime_secs: self.busy_secs,
             total_quantity: self.total_quantity,
             newborn_quantity: self.newborn_quantity,
             relayed_quantity: self.total_quantity - self.newborn_quantity,
@@ -632,7 +628,6 @@ mod tests {
         let report = engine.run(&mut source).unwrap();
         assert_eq!(report.interactions, 6);
         assert_eq!(report.policy, "fifo");
-        assert!(report.runtime_secs >= 0.0);
         // Σ r.q = 21; newborn = 3 (interaction 1) + 2 (interaction 2)
         // + 4 (interaction 4) = 9; relayed = 12 (Table 2's parenthesised values).
         assert!(qty_approx_eq(report.total_quantity, 21.0));
@@ -982,11 +977,10 @@ mod tests {
     }
 
     #[test]
-    fn throughput_is_zero_for_empty_runs() {
+    fn empty_run_reports_zero_newborn_fraction() {
         let engine = ProvenanceEngine::new(&fifo_config(), 3).unwrap();
         let report = engine.report();
         assert_eq!(report.interactions, 0);
-        assert_eq!(report.throughput(), 0.0);
         assert_eq!(report.newborn_fraction(), 0.0);
     }
 }

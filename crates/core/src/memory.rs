@@ -34,6 +34,17 @@ impl FootprintBreakdown {
     }
 }
 
+/// Summed footprint of a collection of containers: the full recount that
+/// trackers check their running byte counters against.
+pub(crate) fn total_footprint<'a, T: MemoryFootprint + 'a>(
+    items: impl IntoIterator<Item = &'a T>,
+) -> usize {
+    items
+        .into_iter()
+        .map(MemoryFootprint::footprint_bytes)
+        .sum()
+}
+
 /// Helper: bytes of the spine + elements of a `Vec<T>` (capacity-based, since
 /// capacity is what the allocator actually reserved).
 pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
@@ -53,73 +64,53 @@ pub fn heap_bytes<T>(h: &std::collections::BinaryHeap<T>) -> usize {
 /// Relative-drift detector behind the tracker footprint-spike notifications
 /// (`ProvenanceTracker::arm_spike_monitor`).
 ///
-/// Trackers maintain an O(1) running *estimate* of their footprint (summed
-/// capacity bytes of the vectors each interaction touches); the monitor
-/// compares the estimate against the value at the last engine sample and
-/// raises a spike once the relative drift exceeds the armed fraction. The
-/// engine then takes a full O(|V|) footprint sample and re-baselines, so the
-/// number of extra samples is logarithmic in the footprint growth rather than
-/// linear in the stream.
+/// Monitored trackers keep their entries bytes as an O(1) running counter
+/// (the same counter `ProvenanceTracker::footprint` reports). The monitor
+/// remembers the counter's value at the last engine sample and raises a
+/// spike once the counter drifted from it by more than the armed fraction.
+/// The engine then records a footprint sample and re-baselines, so the
+/// number of extra samples is logarithmic in the footprint growth rather
+/// than linear in the stream.
 #[derive(Clone, Copy, Debug)]
 pub struct SpikeMonitor {
     /// Relative drift (e.g. 0.25 = 25%) that raises a spike.
     fraction: f64,
-    /// Footprint estimate at the last baseline (engine sample).
-    baseline: isize,
-    /// Current running estimate.
-    estimate: isize,
+    /// Counter value at the last baseline (engine sample).
+    baseline: usize,
 }
 
 impl SpikeMonitor {
     /// Create a monitor with the given relative threshold, baselined at the
-    /// current footprint estimate.
-    pub fn new(fraction: f64, estimate: usize) -> Self {
-        let estimate = estimate as isize;
+    /// tracker's current byte counter.
+    pub fn new(fraction: f64, bytes: usize) -> Self {
         SpikeMonitor {
             fraction: fraction.max(0.0),
-            baseline: estimate,
-            estimate,
+            baseline: bytes,
         }
     }
 
-    /// Fold a footprint change (bytes, signed) into the running estimate.
-    #[inline]
-    pub fn apply_delta(&mut self, delta: isize) {
-        self.estimate += delta;
-    }
-
-    /// Replace the running estimate wholesale (used after operations that
-    /// rewrite state beyond the vectors an interaction touches, e.g. a
-    /// window reset).
-    #[inline]
-    pub fn set_estimate(&mut self, estimate: usize) {
-        self.estimate = estimate as isize;
-    }
-
-    /// Re-baseline at the current estimate. The engine calls this (via
-    /// `ProvenanceTracker::note_footprint_sampled`) whenever it takes a full
+    /// Re-baseline at the current byte counter. The engine calls this (via
+    /// `ProvenanceTracker::note_footprint_sampled`) whenever it takes a
     /// footprint sample for any reason, so drift is always measured against
     /// the *last sample* — without it, sub-threshold drift accumulated
     /// before a periodic sample would fire a redundant spike (and a second
-    /// O(|V|) sample) moments after.
+    /// sample) moments after.
     #[inline]
-    pub fn rebaseline(&mut self) {
-        self.baseline = self.estimate;
+    pub fn rebaseline(&mut self, bytes: usize) {
+        self.baseline = bytes;
     }
 
-    /// True if the estimate drifted by more than the armed fraction since
-    /// the last baseline; reading a spike re-baselines the monitor (the
-    /// caller is expected to take a full sample right after).
+    /// True if the byte counter drifted by more than the armed fraction
+    /// since the last baseline; reading a spike re-baselines the monitor
+    /// (the caller is expected to take a sample right after).
     #[inline]
-    pub fn take_spike(&mut self) -> bool {
-        let drift = (self.estimate - self.baseline).unsigned_abs();
+    pub fn take_spike(&mut self, bytes: usize) -> bool {
+        let drift = bytes.abs_diff(self.baseline);
         // A fixed floor keeps near-empty trackers from spiking on every
         // interaction (any growth is "infinite" relative to an empty state).
         const MIN_DRIFT_BYTES: usize = 4096;
-        if drift >= MIN_DRIFT_BYTES
-            && drift as f64 > self.fraction * self.baseline.unsigned_abs().max(1) as f64
-        {
-            self.baseline = self.estimate;
+        if drift >= MIN_DRIFT_BYTES && drift as f64 > self.fraction * self.baseline.max(1) as f64 {
+            self.baseline = bytes;
             true
         } else {
             false

@@ -13,12 +13,12 @@ use std::collections::BTreeSet;
 use crate::error::{Result, TinError};
 use crate::ids::{Origin, VertexId};
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
+use crate::memory::{total_footprint, FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::policy::ShrinkCriterion;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, qty_is_zero, Quantity};
 use crate::sparse_vec::{MergeScratch, SparseProvenance};
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: the provenance list, the
 /// scalar total, and the vertex's shrink counter.
@@ -54,6 +54,9 @@ pub struct BudgetTracker {
     totals: Vec<Quantity>,
     shrinks: Vec<u32>,
     scratch: MergeScratch,
+    /// Running sum of the lists' footprints (see
+    /// [`ProvenanceTracker::footprint`]); the spike monitor reads it too.
+    entries_bytes: usize,
     processed: usize,
     monitor: Option<SpikeMonitor>,
 }
@@ -102,6 +105,7 @@ impl BudgetTracker {
             totals: vec![0.0; num_vertices],
             shrinks: vec![0; num_vertices],
             scratch: MergeScratch::new(),
+            entries_bytes: 0,
             processed: 0,
             monitor: None,
         })
@@ -209,11 +213,7 @@ impl ProvenanceTracker for BudgetTracker {
         let s = r.src.index();
         let d = r.dst.index();
         debug_assert_ne!(s, d, "self-loops are rejected at stream validation");
-        let fp_before = if self.monitor.is_some() {
-            self.vectors[s].footprint_bytes() + self.vectors[d].footprint_bytes()
-        } else {
-            0
-        };
+        let before = self.vectors[s].footprint_bytes() + self.vectors[d].footprint_bytes();
 
         {
             let (src_vec, dst_vec) = split_src_dst(&mut self.vectors, s, d);
@@ -235,10 +235,9 @@ impl ProvenanceTracker for BudgetTracker {
         }
         // Only the destination list can have grown beyond the budget.
         self.enforce_budget(d);
-        if let Some(monitor) = &mut self.monitor {
-            let fp_after = self.vectors[s].footprint_bytes() + self.vectors[d].footprint_bytes();
-            monitor.apply_delta(fp_after as isize - fp_before as isize);
-        }
+        self.entries_bytes = self.entries_bytes - before
+            + self.vectors[s].footprint_bytes()
+            + self.vectors[d].footprint_bytes();
         self.processed += 1;
     }
 
@@ -251,8 +250,9 @@ impl ProvenanceTracker for BudgetTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(self.entries_bytes, total_footprint(&self.vectors));
         FootprintBreakdown {
-            entries_bytes: self.vectors.iter().map(|p| p.footprint_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
                 + crate::memory::vec_bytes(&self.shrinks)
@@ -274,8 +274,9 @@ impl MigratableTracker for BudgetTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
+        let hollow = SparseProvenance::new();
         TakenState {
-            vec: std::mem::take(&mut self.vectors[i]),
+            vec: replace_counted(&mut self.entries_bytes, &mut self.vectors[i], hollow),
             total: std::mem::take(&mut self.totals[i]),
             shrinks: std::mem::take(&mut self.shrinks[i]),
         }
@@ -283,7 +284,7 @@ impl MigratableTracker for BudgetTracker {
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
         let i = v.index();
-        self.vectors[i] = taken.vec;
+        replace_counted(&mut self.entries_bytes, &mut self.vectors[i], taken.vec);
         self.totals[i] = taken.total;
         self.shrinks[i] = taken.shrinks;
     }
@@ -302,18 +303,12 @@ impl MigratableTracker for BudgetTracker {
         })
     }
 
-    // Migrating state carries its footprint with it (see
-    // `ProportionalSparseTracker`).
-    fn taken_footprint(taken: &TakenState) -> usize {
-        taken.vec.footprint_bytes()
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn monitor_store(&mut self) -> Option<&mut Option<SpikeMonitor>> {
         Some(&mut self.monitor)
-    }
-
-    fn footprint_estimate(&self) -> usize {
-        self.vectors.iter().map(|p| p.footprint_bytes()).sum()
     }
 }
 

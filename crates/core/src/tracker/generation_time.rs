@@ -11,10 +11,10 @@ use crate::buffer::heap_buffer::{HeapBuffer, HeapKind};
 use crate::buffer::Triple;
 use crate::ids::{Timestamp, VertexId};
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint};
+use crate::memory::{total_footprint, FootprintBreakdown, MemoryFootprint};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_is_zero, Quantity};
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: the whole generation-time
 /// heap (its backing array — and therefore its exact tie-breaking layout —
@@ -28,6 +28,9 @@ pub struct TakenState {
 pub struct GenerationTimeTracker {
     kind: HeapKind,
     buffers: Vec<HeapBuffer>,
+    /// Running sum of the buffers' footprints (see
+    /// [`ProvenanceTracker::footprint`]).
+    entries_bytes: usize,
     processed: usize,
 }
 
@@ -47,6 +50,7 @@ impl GenerationTimeTracker {
         GenerationTimeTracker {
             kind,
             buffers: (0..num_vertices).map(|_| HeapBuffer::new(kind)).collect(),
+            entries_bytes: 0,
             processed: 0,
         }
     }
@@ -103,6 +107,7 @@ impl ProvenanceTracker for GenerationTimeTracker {
         // Select up to r.q from the source buffer (Algorithm 2, lines 6–17).
         // The two buffers are distinct (no self-loops), so split the borrow.
         let (src_buf, dst_buf) = split_src_dst(&mut self.buffers, s, d);
+        let before = src_buf.footprint_bytes() + dst_buf.footprint_bytes();
         let taken = src_buf.take(r.qty, |triple| dst_buf.push(triple));
 
         // Newborn residue (Algorithm 2, lines 18–21).
@@ -114,6 +119,8 @@ impl ProvenanceTracker for GenerationTimeTracker {
                 qty: residue,
             });
         }
+        self.entries_bytes =
+            self.entries_bytes - before + src_buf.footprint_bytes() + dst_buf.footprint_bytes();
         self.processed += 1;
     }
 
@@ -126,8 +133,9 @@ impl ProvenanceTracker for GenerationTimeTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(self.entries_bytes, total_footprint(&self.buffers));
         FootprintBreakdown {
-            entries_bytes: self.buffers.iter().map(|b| b.footprint_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: std::mem::size_of::<HeapBuffer>() * self.buffers.capacity(),
         }
@@ -144,14 +152,26 @@ impl MigratableTracker for GenerationTimeTracker {
     type Taken = TakenState;
 
     fn extract(&mut self, v: VertexId) -> TakenState {
-        let i = v.index();
+        let hollow = HeapBuffer::new(self.kind);
         TakenState {
-            buf: std::mem::replace(&mut self.buffers[i], HeapBuffer::new(self.kind)),
+            buf: replace_counted(
+                &mut self.entries_bytes,
+                &mut self.buffers[v.index()],
+                hollow,
+            ),
         }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
-        self.buffers[v.index()] = taken.buf;
+        replace_counted(
+            &mut self.entries_bytes,
+            &mut self.buffers[v.index()],
+            taken.buf,
+        );
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {

@@ -10,10 +10,10 @@ use crate::dense_vec::DenseProvenance;
 use crate::error::{Result, TinError};
 use crate::ids::{GroupId, Origin, VertexId};
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint};
+use crate::memory::{total_footprint, FootprintBreakdown};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: the `m`-slot group vector
 /// plus the scalar total.
@@ -30,6 +30,10 @@ pub struct GroupedTracker {
     group_of: Vec<u32>,
     vectors: Vec<DenseProvenance>,
     totals: Vec<Quantity>,
+    /// Running sum of the rows' footprints (see
+    /// [`ProvenanceTracker::footprint`]). Rows never change capacity in
+    /// `process`, so only `extract`/`install` move it.
+    entries_bytes: usize,
     processed: usize,
 }
 
@@ -58,12 +62,14 @@ impl GroupedTracker {
                 "group index {bad} is outside 0..{num_groups}"
             )));
         }
+        let vectors: Vec<DenseProvenance> = (0..num_vertices)
+            .map(|_| DenseProvenance::zeros(num_groups))
+            .collect();
         Ok(GroupedTracker {
             num_groups,
             group_of,
-            vectors: (0..num_vertices)
-                .map(|_| DenseProvenance::zeros(num_groups))
-                .collect(),
+            entries_bytes: total_footprint(&vectors),
+            vectors,
             totals: vec![0.0; num_vertices],
             processed: 0,
         })
@@ -150,8 +156,9 @@ impl ProvenanceTracker for GroupedTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(self.entries_bytes, total_footprint(&self.vectors));
         FootprintBreakdown {
-            entries_bytes: self.vectors.iter().map(|p| p.footprint_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
                 + crate::memory::vec_bytes(&self.group_of),
@@ -170,16 +177,21 @@ impl MigratableTracker for GroupedTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
+        let hollow = DenseProvenance::zeros(0);
         TakenState {
-            row: std::mem::replace(&mut self.vectors[i], DenseProvenance::zeros(0)),
+            row: replace_counted(&mut self.entries_bytes, &mut self.vectors[i], hollow),
             total: std::mem::take(&mut self.totals[i]),
         }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
         let i = v.index();
-        self.vectors[i] = taken.row;
+        replace_counted(&mut self.entries_bytes, &mut self.vectors[i], taken.row);
         self.totals[i] = taken.total;
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {

@@ -140,25 +140,17 @@ pub trait MigratableTracker {
     /// tracker of the same configuration.
     fn install(&mut self, v: VertexId, taken: Self::Taken);
 
-    /// Footprint bytes that travel with the payload. Monitored trackers
-    /// report the migrated buffer bytes here so the spike estimate moves
-    /// with the state: without the delta a borrowing shard's estimate
-    /// inflates by every borrowed growth while the owner's misses it, and
-    /// spikes fire on the wrong replica.
-    fn taken_footprint(_taken: &Self::Taken) -> usize {
-        0
-    }
+    /// The tracker's running entries-plus-paths byte counters, in O(1): the
+    /// part of [`ProvenanceTracker::footprint`] that per-vertex state makes
+    /// up. `extract` and `install` move the counters with the state, so the
+    /// drop across an `extract` is the migrated payload's size, and a
+    /// monitored tracker's spike monitor reads this value.
+    fn counted_bytes(&self) -> usize;
 
     /// The tracker's spike-monitor slot, for trackers that support footprint
     /// spike notifications. `None` (the default) opts out of monitoring.
     fn monitor_store(&mut self) -> Option<&mut Option<SpikeMonitor>> {
         None
-    }
-
-    /// A full O(state) footprint estimate, used to baseline the monitor when
-    /// it is armed. Only meaningful for trackers with a monitor store.
-    fn footprint_estimate(&self) -> usize {
-        0
     }
 
     /// Append the checkpoint encoding of a migrated payload. Must be the
@@ -170,30 +162,27 @@ pub trait MigratableTracker {
     fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> Result<Self::Taken>;
 }
 
-/// Shared take-side of the shard migration protocol: extract the payload,
-/// migrate its footprint out of the spike estimate, type-erase it.
+/// Shared take-side of the shard migration protocol: extract the payload
+/// and type-erase it, tagged with the bytes it took out of the tracker's
+/// counters.
 pub fn shared_take<T: MigratableTracker>(tracker: &mut T, v: VertexId) -> ShardVertexState {
+    let before = tracker.counted_bytes();
     let taken = tracker.extract(v);
-    let migrated = T::taken_footprint(&taken);
-    if migrated > 0 {
-        if let Some(monitor) = tracker.monitor_store().and_then(Option::as_mut) {
-            monitor.apply_delta(-(migrated as isize));
-        }
-    }
-    ShardVertexState::with_footprint(taken, migrated)
+    ShardVertexState::with_footprint(taken, before - tracker.counted_bytes())
 }
 
-/// Shared put-side of the shard migration protocol: downcast the payload,
-/// migrate its footprint back into the spike estimate, re-install it.
+/// Shared put-side of the shard migration protocol: downcast the payload and
+/// re-install it.
 pub fn shared_put<T: MigratableTracker>(tracker: &mut T, v: VertexId, state: ShardVertexState) {
-    let taken: T::Taken = state.downcast();
-    let migrated = T::taken_footprint(&taken);
-    if migrated > 0 {
-        if let Some(monitor) = tracker.monitor_store().and_then(Option::as_mut) {
-            monitor.apply_delta(migrated as isize);
-        }
-    }
-    tracker.install(v, taken);
+    tracker.install(v, state.downcast());
+}
+
+/// Replace a per-vertex slot and return the old one, moving a running byte
+/// counter by the difference of the two slots' footprints — how `extract`
+/// and `install` keep a tracker's counter exact.
+pub(crate) fn replace_counted<T: MemoryFootprint>(bytes: &mut usize, slot: &mut T, new: T) -> T {
+    *bytes = *bytes - slot.footprint_bytes() + new.footprint_bytes();
+    std::mem::replace(slot, new)
 }
 
 /// Shared checkpoint-capture path: extract the payload, encode it, put it
@@ -229,10 +218,10 @@ pub fn shared_decode_state<T: MigratableTracker>(
 
 /// Shared implementation behind `ProvenanceTracker::arm_spike_monitor`.
 pub fn shared_arm_spike_monitor<T: MigratableTracker>(tracker: &mut T, fraction: f64) -> bool {
-    let estimate = tracker.footprint_estimate();
+    let bytes = tracker.counted_bytes();
     match tracker.monitor_store() {
         Some(slot) => {
-            *slot = Some(SpikeMonitor::new(fraction, estimate));
+            *slot = Some(SpikeMonitor::new(fraction, bytes));
             true
         }
         None => false,
@@ -241,16 +230,18 @@ pub fn shared_arm_spike_monitor<T: MigratableTracker>(tracker: &mut T, fraction:
 
 /// Shared implementation behind `ProvenanceTracker::take_footprint_spike`.
 pub fn shared_take_footprint_spike<T: MigratableTracker>(tracker: &mut T) -> bool {
+    let bytes = tracker.counted_bytes();
     tracker
         .monitor_store()
         .and_then(Option::as_mut)
-        .is_some_and(SpikeMonitor::take_spike)
+        .is_some_and(|monitor| monitor.take_spike(bytes))
 }
 
 /// Shared implementation behind `ProvenanceTracker::note_footprint_sampled`.
 pub fn shared_note_footprint_sampled<T: MigratableTracker>(tracker: &mut T) {
+    let bytes = tracker.counted_bytes();
     if let Some(monitor) = tracker.monitor_store().and_then(Option::as_mut) {
-        monitor.rebaseline();
+        monitor.rebaseline(bytes);
     }
 }
 
@@ -355,6 +346,12 @@ pub trait ProvenanceTracker {
 
     /// Logical memory footprint of the provenance state, broken down into
     /// entries / paths / indexes (Table 8 and Table 10 reporting).
+    ///
+    /// O(1) for every [`build_tracker`] policy: entries and paths bytes are
+    /// running counters that move only where a container's capacity moves
+    /// (the two endpoints of `process`, `extract`/`install`, window resets),
+    /// and index bytes are read off spine capacities. Debug builds check
+    /// the counters against a full per-vertex recount on every call.
     fn footprint(&self) -> FootprintBreakdown;
 
     /// Number of interactions processed so far.
@@ -475,26 +472,26 @@ pub trait ProvenanceTracker {
     // --- footprint spike notifications (engine peak accounting) ---
 
     /// Arm an internal footprint-spike monitor: after this call the tracker
-    /// cheaply tracks its own footprint estimate and reports — via
-    /// [`Self::take_footprint_spike`] — whenever the estimate drifted by
-    /// more than `fraction` (relative) since the engine last sampled.
-    /// Returns `true` if the tracker supports spike monitoring.
+    /// reports — via [`Self::take_footprint_spike`] — whenever its running
+    /// entries-bytes counter drifted by more than `fraction` (relative)
+    /// since the engine last sampled. Returns `true` if the tracker
+    /// supports spike monitoring.
     fn arm_spike_monitor(&mut self, fraction: f64) -> bool {
         let _ = fraction;
         false
     }
 
-    /// True if the footprint estimate spiked past the armed threshold since
-    /// the last engine sample (a `true` reading re-baselines the monitor;
-    /// `false` leaves it untouched). The engine samples the full footprint
-    /// whenever this fires, so
+    /// True if the entries-bytes counter spiked past the armed threshold
+    /// since the last engine sample (a `true` reading re-baselines the
+    /// monitor; `false` leaves it untouched). The engine samples the
+    /// footprint whenever this fires, so
     /// [`crate::engine::EngineReport::peak_footprint_bytes`] no longer
     /// misses spikes between its periodic samples.
     fn take_footprint_spike(&mut self) -> bool {
         false
     }
 
-    /// Notification that the engine just took a full footprint sample for a
+    /// Notification that the engine just took a footprint sample for a
     /// reason other than a spike (the periodic schedule): monitored trackers
     /// re-baseline so drift is always measured against the last sample.
     fn note_footprint_sampled(&mut self) {}

@@ -129,6 +129,12 @@ impl MigratableTracker for NoProvTracker {
         self.generated[i] = taken.generated;
     }
 
+    // The per-vertex state is two scalars in fixed-size spines: nothing
+    // migrates out of the counted bytes.
+    fn counted_bytes(&self) -> usize {
+        self.footprint().entries_bytes
+    }
+
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
         crate::codec::put_f64(out, taken.buffered);
         crate::codec::put_f64(out, taken.generated);

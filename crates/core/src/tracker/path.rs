@@ -17,15 +17,16 @@ use std::collections::VecDeque;
 use crate::buffer::queue_buffer::Discipline;
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
-use crate::memory::FootprintBreakdown;
+use crate::memory::{vec_bytes, FootprintBreakdown};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_gt, qty_is_zero, Quantity};
 use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: the whole path buffer
-/// (elements, paths and receipt order move wholesale).
+/// (elements, paths and receipt order move wholesale) and its paths bytes.
 pub struct TakenState {
     buf: PathBuffer,
+    paths_bytes: usize,
 }
 
 /// A buffered quantity element annotated with its transfer path.
@@ -59,20 +60,26 @@ struct PathBuffer {
 }
 
 impl PathBuffer {
-    fn push(&mut self, e: PathElement) {
+    /// Append an element, adding its path bytes to the buffer's counter
+    /// `paths_bytes`.
+    fn push(&mut self, e: PathElement, paths_bytes: &mut usize) {
         if qty_is_zero(e.qty) {
             return;
         }
         self.total += e.qty;
+        *paths_bytes += vec_bytes(&e.path);
         self.elements.push_back(e);
     }
 
     /// Select up to `amount` under `discipline`, passing each transferred
-    /// element (whole or split) to `sink` in selection order.
+    /// element (whole or split) to `sink` in selection order. The path bytes
+    /// of elements that leave whole come off the buffer's counter
+    /// `paths_bytes`; a split fragment carries a fresh copy of the path.
     fn take(
         &mut self,
         discipline: Discipline,
         amount: Quantity,
+        paths_bytes: &mut usize,
         mut sink: impl FnMut(PathElement),
     ) -> Quantity {
         let mut residue = amount;
@@ -107,6 +114,7 @@ impl PathBuffer {
                 }
                 .expect("buffer non-empty: peeked above");
                 self.total -= e.qty;
+                *paths_bytes -= vec_bytes(&e.path);
                 residue -= e.qty;
                 taken += e.qty;
                 sink(e);
@@ -160,11 +168,10 @@ impl PathBuffer {
         self.elements.capacity() * std::mem::size_of::<PathElement>()
     }
 
+    /// Paths bytes recounted from the elements: the reference the running
+    /// counters are checked against in debug builds.
     fn paths_bytes(&self) -> usize {
-        self.elements
-            .iter()
-            .map(|e| e.path.capacity() * std::mem::size_of::<VertexId>())
-            .sum()
+        self.elements.iter().map(|e| vec_bytes(&e.path)).sum()
     }
 }
 
@@ -173,6 +180,15 @@ impl PathBuffer {
 pub struct PathTracker {
     discipline: Discipline,
     buffers: Vec<PathBuffer>,
+    /// Paths bytes of each buffer, kept beside the buffers so that no
+    /// footprint update scans a buffer's elements. Like the running totals
+    /// below, it is bookkeeping for the footprint figure, not provenance
+    /// state, and is left out of it.
+    buffer_paths_bytes: Vec<usize>,
+    /// Running sums of the buffers' entries and paths bytes (see
+    /// [`ProvenanceTracker::footprint`]).
+    entries_bytes: usize,
+    paths_bytes: usize,
     processed: usize,
 }
 
@@ -192,6 +208,9 @@ impl PathTracker {
         PathTracker {
             discipline,
             buffers: vec![PathBuffer::default(); num_vertices],
+            buffer_paths_bytes: vec![0; num_vertices],
+            entries_bytes: 0,
+            paths_bytes: 0,
             processed: 0,
         }
     }
@@ -248,26 +267,35 @@ impl ProvenanceTracker for PathTracker {
         debug_assert_ne!(s, d, "self-loops are rejected at stream validation");
 
         let (src_buf, dst_buf) = split_src_dst(&mut self.buffers, s, d);
+        let (src_paths, dst_paths) = split_src_dst(&mut self.buffer_paths_bytes, s, d);
+        let entries_before = src_buf.entries_bytes() + dst_buf.entries_bytes();
+        let paths_before = *src_paths + *dst_paths;
 
         let discipline = self.discipline;
         let transmitter = r.src;
-        let taken = src_buf.take(discipline, r.qty, |mut e| {
+        let taken = src_buf.take(discipline, r.qty, src_paths, |mut e| {
             // Relayed element: extend its path with the transmitter vertex
             // (Section 6: "its path is extended to include the transmitter").
             e.path.push(transmitter);
-            dst_buf.push(e);
+            dst_buf.push(e, dst_paths);
         });
 
         let residue = r.qty - taken;
         if !qty_is_zero(residue) {
             // Newborn element: its path starts (and for now ends) at its
             // origin, the source vertex of this interaction.
-            dst_buf.push(PathElement {
-                origin: r.src,
-                qty: residue,
-                path: vec![r.src],
-            });
+            dst_buf.push(
+                PathElement {
+                    origin: r.src,
+                    qty: residue,
+                    path: vec![r.src],
+                },
+                dst_paths,
+            );
         }
+        self.entries_bytes =
+            self.entries_bytes - entries_before + src_buf.entries_bytes() + dst_buf.entries_bytes();
+        self.paths_bytes = self.paths_bytes - paths_before + *src_paths + *dst_paths;
         self.processed += 1;
     }
 
@@ -285,9 +313,25 @@ impl ProvenanceTracker for PathTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(
+            self.entries_bytes,
+            self.buffers
+                .iter()
+                .map(|b| b.entries_bytes())
+                .sum::<usize>()
+        );
+        debug_assert!(self
+            .buffers
+            .iter()
+            .zip(&self.buffer_paths_bytes)
+            .all(|(b, &bytes)| b.paths_bytes() == bytes));
+        debug_assert_eq!(
+            self.paths_bytes,
+            self.buffer_paths_bytes.iter().sum::<usize>()
+        );
         FootprintBreakdown {
-            entries_bytes: self.buffers.iter().map(|b| b.entries_bytes()).sum(),
-            paths_bytes: self.buffers.iter().map(|b| b.paths_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
+            paths_bytes: self.paths_bytes,
             index_bytes: std::mem::size_of::<PathBuffer>() * self.buffers.capacity(),
         }
     }
@@ -304,13 +348,24 @@ impl MigratableTracker for PathTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
-        TakenState {
-            buf: std::mem::take(&mut self.buffers[i]),
-        }
+        let buf = std::mem::take(&mut self.buffers[i]);
+        let paths_bytes = std::mem::take(&mut self.buffer_paths_bytes[i]);
+        self.entries_bytes -= buf.entries_bytes();
+        self.paths_bytes -= paths_bytes;
+        TakenState { buf, paths_bytes }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
-        self.buffers[v.index()] = taken.buf;
+        let i = v.index();
+        self.entries_bytes =
+            self.entries_bytes - self.buffers[i].entries_bytes() + taken.buf.entries_bytes();
+        self.paths_bytes = self.paths_bytes - self.buffer_paths_bytes[i] + taken.paths_bytes;
+        self.buffers[i] = taken.buf;
+        self.buffer_paths_bytes[i] = taken.paths_bytes;
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes + self.paths_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
@@ -318,8 +373,10 @@ impl MigratableTracker for PathTracker {
     }
 
     fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+        let buf = PathBuffer::decode_from(r)?;
         Ok(TakenState {
-            buf: PathBuffer::decode_from(r)?,
+            paths_bytes: buf.paths_bytes(),
+            buf,
         })
     }
 }

@@ -18,7 +18,7 @@ use std::collections::BinaryHeap;
 use crate::buffer::heap_buffer::HeapKind;
 use crate::ids::{Timestamp, VertexId};
 use crate::interaction::Interaction;
-use crate::memory::FootprintBreakdown;
+use crate::memory::{vec_bytes, FootprintBreakdown};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_gt, qty_is_zero, Quantity};
 use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
@@ -28,6 +28,7 @@ use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
 /// wholesale).
 pub struct TakenState {
     buf: PathHeapBuffer,
+    paths_bytes: usize,
 }
 
 /// A buffered quantity element annotated with its birth time and its transfer
@@ -108,7 +109,9 @@ impl PathHeapBuffer {
         }
     }
 
-    fn push(&mut self, kind: HeapKind, triple: PathTriple) {
+    /// Push a triple, adding its path bytes to the buffer's counter
+    /// `paths_bytes`.
+    fn push(&mut self, kind: HeapKind, triple: PathTriple, paths_bytes: &mut usize) {
         if qty_is_zero(triple.qty) {
             return;
         }
@@ -116,15 +119,19 @@ impl PathHeapBuffer {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.total += triple.qty;
+        *paths_bytes += vec_bytes(&triple.path);
         self.heap.push(Entry { key, seq, triple });
     }
 
     /// Select up to `amount` according to the heap order, passing every
-    /// transferred element (whole or split fragment) to `sink`.
+    /// transferred element (whole or split fragment) to `sink`. The path
+    /// bytes of triples that leave whole come off the buffer's counter
+    /// `paths_bytes`; a split fragment carries a fresh copy of the path.
     fn take(
         &mut self,
         kind: HeapKind,
         amount: Quantity,
+        paths_bytes: &mut usize,
         mut sink: impl FnMut(PathTriple),
     ) -> Quantity {
         let mut residue = amount;
@@ -153,6 +160,7 @@ impl PathHeapBuffer {
             } else {
                 let e = self.heap.pop().expect("buffer non-empty: peeked above");
                 self.total -= e.triple.qty;
+                *paths_bytes -= vec_bytes(&e.triple.path);
                 residue -= e.triple.qty;
                 taken += e.triple.qty;
                 sink(e.triple);
@@ -234,11 +242,10 @@ impl PathHeapBuffer {
         self.heap.capacity() * std::mem::size_of::<Entry>()
     }
 
+    /// Paths bytes recounted from the heap: the reference the running
+    /// counters are checked against in debug builds.
     fn paths_bytes(&self) -> usize {
-        self.heap
-            .iter()
-            .map(|e| e.triple.path.capacity() * std::mem::size_of::<VertexId>())
-            .sum()
+        self.heap.iter().map(|e| vec_bytes(&e.triple.path)).sum()
     }
 }
 
@@ -248,6 +255,15 @@ impl PathHeapBuffer {
 pub struct GenerationPathTracker {
     kind: HeapKind,
     buffers: Vec<PathHeapBuffer>,
+    /// Paths bytes of each buffer, kept beside the buffers so that no
+    /// footprint update scans a heap. Like the running totals below, it is
+    /// bookkeeping for the footprint figure, not provenance state, and is
+    /// left out of it.
+    buffer_paths_bytes: Vec<usize>,
+    /// Running sums of the buffers' entries and paths bytes (see
+    /// [`ProvenanceTracker::footprint`]).
+    entries_bytes: usize,
+    paths_bytes: usize,
     processed: usize,
 }
 
@@ -267,6 +283,9 @@ impl GenerationPathTracker {
         GenerationPathTracker {
             kind,
             buffers: (0..num_vertices).map(|_| PathHeapBuffer::new()).collect(),
+            buffer_paths_bytes: vec![0; num_vertices],
+            entries_bytes: 0,
+            paths_bytes: 0,
             processed: 0,
         }
     }
@@ -345,13 +364,16 @@ impl ProvenanceTracker for GenerationPathTracker {
         debug_assert_ne!(s, d, "self-loops are rejected at stream validation");
 
         let (src_buf, dst_buf) = split_src_dst(&mut self.buffers, s, d);
+        let (src_paths, dst_paths) = split_src_dst(&mut self.buffer_paths_bytes, s, d);
+        let entries_before = src_buf.entries_bytes() + dst_buf.entries_bytes();
+        let paths_before = *src_paths + *dst_paths;
 
         let kind = self.kind;
         let transmitter = r.src;
-        let taken = src_buf.take(kind, r.qty, |mut triple| {
+        let taken = src_buf.take(kind, r.qty, src_paths, |mut triple| {
             // Relayed element: extend its path with the transmitter vertex.
             triple.path.push(transmitter);
-            dst_buf.push(kind, triple);
+            dst_buf.push(kind, triple, dst_paths);
         });
 
         let residue = r.qty - taken;
@@ -367,8 +389,12 @@ impl ProvenanceTracker for GenerationPathTracker {
                     qty: residue,
                     path: vec![r.src],
                 },
+                dst_paths,
             );
         }
+        self.entries_bytes =
+            self.entries_bytes - entries_before + src_buf.entries_bytes() + dst_buf.entries_bytes();
+        self.paths_bytes = self.paths_bytes - paths_before + *src_paths + *dst_paths;
         self.processed += 1;
     }
 
@@ -386,9 +412,25 @@ impl ProvenanceTracker for GenerationPathTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(
+            self.entries_bytes,
+            self.buffers
+                .iter()
+                .map(|b| b.entries_bytes())
+                .sum::<usize>()
+        );
+        debug_assert!(self
+            .buffers
+            .iter()
+            .zip(&self.buffer_paths_bytes)
+            .all(|(b, &bytes)| b.paths_bytes() == bytes));
+        debug_assert_eq!(
+            self.paths_bytes,
+            self.buffer_paths_bytes.iter().sum::<usize>()
+        );
         FootprintBreakdown {
-            entries_bytes: self.buffers.iter().map(|b| b.entries_bytes()).sum(),
-            paths_bytes: self.buffers.iter().map(|b| b.paths_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
+            paths_bytes: self.paths_bytes,
             index_bytes: std::mem::size_of::<PathHeapBuffer>() * self.buffers.capacity(),
         }
     }
@@ -405,13 +447,24 @@ impl MigratableTracker for GenerationPathTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
-        TakenState {
-            buf: std::mem::replace(&mut self.buffers[i], PathHeapBuffer::new()),
-        }
+        let buf = std::mem::replace(&mut self.buffers[i], PathHeapBuffer::new());
+        let paths_bytes = std::mem::take(&mut self.buffer_paths_bytes[i]);
+        self.entries_bytes -= buf.entries_bytes();
+        self.paths_bytes -= paths_bytes;
+        TakenState { buf, paths_bytes }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
-        self.buffers[v.index()] = taken.buf;
+        let i = v.index();
+        self.entries_bytes =
+            self.entries_bytes - self.buffers[i].entries_bytes() + taken.buf.entries_bytes();
+        self.paths_bytes = self.paths_bytes - self.buffer_paths_bytes[i] + taken.paths_bytes;
+        self.buffers[i] = taken.buf;
+        self.buffer_paths_bytes[i] = taken.paths_bytes;
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes + self.paths_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
@@ -419,8 +472,10 @@ impl MigratableTracker for GenerationPathTracker {
     }
 
     fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+        let buf = PathHeapBuffer::decode_from(r)?;
         Ok(TakenState {
-            buf: PathHeapBuffer::decode_from(r)?,
+            paths_bytes: buf.paths_bytes(),
+            buf,
         })
     }
 }
@@ -594,6 +649,7 @@ mod tests {
     #[test]
     fn zero_quantity_elements_are_dropped() {
         let mut buf = PathHeapBuffer::new();
+        let mut paths_bytes = 0;
         buf.push(
             HeapKind::LeastRecentlyBorn,
             PathTriple {
@@ -602,8 +658,10 @@ mod tests {
                 qty: 0.0,
                 path: vec![v(0)],
             },
+            &mut paths_bytes,
         );
         assert!(buf.heap.is_empty());
         assert_eq!(buf.total, 0.0);
+        assert_eq!(paths_bytes, 0);
     }
 }

@@ -14,11 +14,11 @@
 
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
+use crate::memory::{total_footprint, FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
 use crate::sparse_vec::SparseProvenance;
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: the provenance list (its
 /// packed SoA buffers move wholesale) plus the scalar total.
@@ -32,6 +32,9 @@ pub struct TakenState {
 pub struct ProportionalSparseTracker {
     vectors: Vec<SparseProvenance>,
     totals: Vec<Quantity>,
+    /// Running sum of the lists' footprints (see
+    /// [`ProvenanceTracker::footprint`]); the spike monitor reads it too.
+    entries_bytes: usize,
     processed: usize,
     monitor: Option<SpikeMonitor>,
 }
@@ -42,6 +45,7 @@ impl ProportionalSparseTracker {
         ProportionalSparseTracker {
             vectors: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             totals: vec![0.0; num_vertices],
+            entries_bytes: 0,
             processed: 0,
             monitor: None,
         }
@@ -89,11 +93,7 @@ impl ProvenanceTracker for ProportionalSparseTracker {
         let s = r.src.index();
         let d = r.dst.index();
         let (src_vec, dst_vec) = split_src_dst(&mut self.vectors, s, d);
-        let fp_before = if self.monitor.is_some() {
-            src_vec.footprint_bytes() + dst_vec.footprint_bytes()
-        } else {
-            0
-        };
+        let before = src_vec.footprint_bytes() + dst_vec.footprint_bytes();
 
         let src_total = self.totals[s];
         if qty_ge(r.qty, src_total) {
@@ -112,10 +112,8 @@ impl ProvenanceTracker for ProportionalSparseTracker {
             self.totals[d] += r.qty;
             self.totals[s] = qty_clamp_non_negative(src_total - r.qty);
         }
-        if let Some(monitor) = &mut self.monitor {
-            let fp_after = src_vec.footprint_bytes() + dst_vec.footprint_bytes();
-            monitor.apply_delta(fp_after as isize - fp_before as isize);
-        }
+        self.entries_bytes =
+            self.entries_bytes - before + src_vec.footprint_bytes() + dst_vec.footprint_bytes();
         self.processed += 1;
     }
 
@@ -128,8 +126,9 @@ impl ProvenanceTracker for ProportionalSparseTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(self.entries_bytes, total_footprint(&self.vectors));
         FootprintBreakdown {
-            entries_bytes: self.vectors.iter().map(|p| p.footprint_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
                 + std::mem::size_of::<SparseProvenance>() * self.vectors.capacity(),
@@ -149,16 +148,21 @@ impl MigratableTracker for ProportionalSparseTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
+        let hollow = SparseProvenance::new();
         TakenState {
-            vec: std::mem::take(&mut self.vectors[i]),
+            vec: replace_counted(&mut self.entries_bytes, &mut self.vectors[i], hollow),
             total: std::mem::take(&mut self.totals[i]),
         }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
         let i = v.index();
-        self.vectors[i] = taken.vec;
+        replace_counted(&mut self.entries_bytes, &mut self.vectors[i], taken.vec);
         self.totals[i] = taken.total;
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
@@ -173,19 +177,8 @@ impl MigratableTracker for ProportionalSparseTracker {
         })
     }
 
-    // Migrating state carries its footprint with it: without the delta a
-    // borrowing shard's estimate inflates by every borrowed growth while
-    // the owner's misses it, so spikes fire on the wrong replica.
-    fn taken_footprint(taken: &TakenState) -> usize {
-        taken.vec.footprint_bytes()
-    }
-
     fn monitor_store(&mut self) -> Option<&mut Option<SpikeMonitor>> {
         Some(&mut self.monitor)
-    }
-
-    fn footprint_estimate(&self) -> usize {
-        self.vectors.iter().map(|p| p.footprint_bytes()).sum()
     }
 }
 

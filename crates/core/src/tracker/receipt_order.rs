@@ -9,10 +9,10 @@ use crate::buffer::queue_buffer::{Discipline, QueueBuffer};
 use crate::buffer::Pair;
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint};
+use crate::memory::{total_footprint, FootprintBreakdown, MemoryFootprint};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_is_zero, Quantity};
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: the whole receipt-order
 /// queue (pairs in receipt order, ring buffer moved wholesale).
@@ -25,6 +25,9 @@ pub struct TakenState {
 pub struct ReceiptOrderTracker {
     discipline: Discipline,
     buffers: Vec<QueueBuffer>,
+    /// Running sum of the buffers' footprints (see
+    /// [`ProvenanceTracker::footprint`]).
+    entries_bytes: usize,
     processed: usize,
 }
 
@@ -48,6 +51,7 @@ impl ReceiptOrderTracker {
             buffers: (0..num_vertices)
                 .map(|_| QueueBuffer::new(discipline))
                 .collect(),
+            entries_bytes: 0,
             processed: 0,
         }
     }
@@ -87,6 +91,7 @@ impl ProvenanceTracker for ReceiptOrderTracker {
         debug_assert_ne!(s, d, "self-loops are rejected at stream validation");
 
         let (src_buf, dst_buf) = split_src_dst(&mut self.buffers, s, d);
+        let before = src_buf.footprint_bytes() + dst_buf.footprint_bytes();
         // Transferred pairs are appended to the destination in selection
         // order (Section 4.2).
         let taken = src_buf.take(r.qty, |pair| dst_buf.push(pair));
@@ -98,6 +103,8 @@ impl ProvenanceTracker for ReceiptOrderTracker {
                 qty: residue,
             });
         }
+        self.entries_bytes =
+            self.entries_bytes - before + src_buf.footprint_bytes() + dst_buf.footprint_bytes();
         self.processed += 1;
     }
 
@@ -110,8 +117,9 @@ impl ProvenanceTracker for ReceiptOrderTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(self.entries_bytes, total_footprint(&self.buffers));
         FootprintBreakdown {
-            entries_bytes: self.buffers.iter().map(|b| b.footprint_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: std::mem::size_of::<QueueBuffer>() * self.buffers.capacity(),
         }
@@ -128,14 +136,26 @@ impl MigratableTracker for ReceiptOrderTracker {
     type Taken = TakenState;
 
     fn extract(&mut self, v: VertexId) -> TakenState {
-        let i = v.index();
+        let hollow = QueueBuffer::new(self.discipline);
         TakenState {
-            buf: std::mem::replace(&mut self.buffers[i], QueueBuffer::new(self.discipline)),
+            buf: replace_counted(
+                &mut self.entries_bytes,
+                &mut self.buffers[v.index()],
+                hollow,
+            ),
         }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
-        self.buffers[v.index()] = taken.buf;
+        replace_counted(
+            &mut self.entries_bytes,
+            &mut self.buffers[v.index()],
+            taken.buf,
+        );
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {

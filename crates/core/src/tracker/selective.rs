@@ -12,10 +12,10 @@ use crate::dense_vec::DenseProvenance;
 use crate::error::{Result, TinError};
 use crate::ids::{Origin, VertexId};
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint};
+use crate::memory::{total_footprint, FootprintBreakdown};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: the `(k+1)`-slot vector
 /// plus the scalar total.
@@ -35,6 +35,10 @@ pub struct SelectiveTracker {
     /// Per-vertex provenance vectors of length k+1.
     vectors: Vec<DenseProvenance>,
     totals: Vec<Quantity>,
+    /// Running sum of the rows' footprints (see
+    /// [`ProvenanceTracker::footprint`]). Rows never change capacity in
+    /// `process`, so only `extract`/`install` move it.
+    entries_bytes: usize,
     processed: usize,
 }
 
@@ -66,12 +70,14 @@ impl SelectiveTracker {
             }
         }
         let dim = tracked.len() + 1;
+        let vectors: Vec<DenseProvenance> = (0..num_vertices)
+            .map(|_| DenseProvenance::zeros(dim))
+            .collect();
         Ok(SelectiveTracker {
             tracked,
             slot_of,
-            vectors: (0..num_vertices)
-                .map(|_| DenseProvenance::zeros(dim))
-                .collect(),
+            entries_bytes: total_footprint(&vectors),
+            vectors,
             totals: vec![0.0; num_vertices],
             processed: 0,
         })
@@ -146,8 +152,9 @@ impl ProvenanceTracker for SelectiveTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(self.entries_bytes, total_footprint(&self.vectors));
         FootprintBreakdown {
-            entries_bytes: self.vectors.iter().map(|p| p.footprint_bytes()).sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
                 + self.slot_of.capacity()
@@ -167,16 +174,21 @@ impl MigratableTracker for SelectiveTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
+        let hollow = DenseProvenance::zeros(0);
         TakenState {
-            row: std::mem::replace(&mut self.vectors[i], DenseProvenance::zeros(0)),
+            row: replace_counted(&mut self.entries_bytes, &mut self.vectors[i], hollow),
             total: std::mem::take(&mut self.totals[i]),
         }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
         let i = v.index();
-        self.vectors[i] = taken.row;
+        replace_counted(&mut self.entries_bytes, &mut self.vectors[i], taken.row);
         self.totals[i] = taken.total;
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {

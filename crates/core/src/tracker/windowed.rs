@@ -13,11 +13,11 @@
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
+use crate::memory::{total_footprint, FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
 use crate::sparse_vec::SparseProvenance;
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: both vector families plus
 /// the scalar total.
@@ -42,6 +42,9 @@ pub struct WindowedTracker {
     odd: Vec<SparseProvenance>,
     even: Vec<SparseProvenance>,
     totals: Vec<Quantity>,
+    /// Running sum of both families' list footprints (see
+    /// [`ProvenanceTracker::footprint`]); the spike monitor reads it too.
+    entries_bytes: usize,
     processed: usize,
     /// How many window resets have happened so far.
     resets: usize,
@@ -64,6 +67,7 @@ impl WindowedTracker {
             odd: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             even: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             totals: vec![0.0; num_vertices],
+            entries_bytes: 0,
             processed: 0,
             resets: 0,
             monitor: None,
@@ -79,20 +83,7 @@ impl WindowedTracker {
         } else {
             &mut self.even
         };
-        for (v, vec) in targets.iter_mut().enumerate() {
-            vec.reset_to_unknown(self.totals[v]);
-        }
-        if let Some(monitor) = &mut self.monitor {
-            // A reset rewrites every vector of one family; re-basing the
-            // estimate costs O(|V|), same as the reset itself.
-            let estimate: usize = self
-                .odd
-                .iter()
-                .chain(self.even.iter())
-                .map(|p| p.footprint_bytes())
-                .sum();
-            monitor.set_estimate(estimate);
-        }
+        reset_family(targets, &self.totals, &mut self.entries_bytes);
     }
 
     /// The window length W.
@@ -156,14 +147,7 @@ impl ProvenanceTracker for WindowedTracker {
         let s = r.src.index();
         let d = r.dst.index();
         debug_assert_ne!(s, d, "self-loops are rejected at stream validation");
-        let fp_before = if self.monitor.is_some() {
-            self.odd[s].footprint_bytes()
-                + self.odd[d].footprint_bytes()
-                + self.even[s].footprint_bytes()
-                + self.even[d].footprint_bytes()
-        } else {
-            0
-        };
+        let before = endpoint_bytes(&self.odd, &self.even, s, d);
 
         // Both vector families are updated at every interaction.
         Self::apply(&mut self.odd, &self.totals, r);
@@ -178,13 +162,8 @@ impl ProvenanceTracker for WindowedTracker {
         }
         self.totals[d] += r.qty;
         self.processed += 1;
-        if let Some(monitor) = &mut self.monitor {
-            let fp_after = self.odd[s].footprint_bytes()
-                + self.odd[d].footprint_bytes()
-                + self.even[s].footprint_bytes()
-                + self.even[d].footprint_bytes();
-            monitor.apply_delta(fp_after as isize - fp_before as isize);
-        }
+        self.entries_bytes =
+            self.entries_bytes - before + endpoint_bytes(&self.odd, &self.even, s, d);
 
         // Reset at multiples of W (Figure 4).
         if self.processed.is_multiple_of(self.window) {
@@ -205,13 +184,12 @@ impl ProvenanceTracker for WindowedTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(
+            self.entries_bytes,
+            total_footprint(self.odd.iter().chain(&self.even))
+        );
         FootprintBreakdown {
-            entries_bytes: self
-                .odd
-                .iter()
-                .chain(self.even.iter())
-                .map(|p| p.footprint_bytes())
-                .sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
                 + std::mem::size_of::<SparseProvenance>()
@@ -250,18 +228,23 @@ impl MigratableTracker for WindowedTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
+        let bytes = &mut self.entries_bytes;
         TakenState {
-            odd: std::mem::take(&mut self.odd[i]),
-            even: std::mem::take(&mut self.even[i]),
+            odd: replace_counted(bytes, &mut self.odd[i], SparseProvenance::new()),
+            even: replace_counted(bytes, &mut self.even[i], SparseProvenance::new()),
             total: std::mem::take(&mut self.totals[i]),
         }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
         let i = v.index();
-        self.odd[i] = taken.odd;
-        self.even[i] = taken.even;
+        replace_counted(&mut self.entries_bytes, &mut self.odd[i], taken.odd);
+        replace_counted(&mut self.entries_bytes, &mut self.even[i], taken.even);
         self.totals[i] = taken.total;
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
@@ -278,23 +261,39 @@ impl MigratableTracker for WindowedTracker {
         })
     }
 
-    // Migrating state carries its footprint with it (see
-    // `ProportionalSparseTracker`).
-    fn taken_footprint(taken: &TakenState) -> usize {
-        taken.odd.footprint_bytes() + taken.even.footprint_bytes()
-    }
-
     fn monitor_store(&mut self) -> Option<&mut Option<SpikeMonitor>> {
         Some(&mut self.monitor)
     }
+}
 
-    fn footprint_estimate(&self) -> usize {
-        self.odd
-            .iter()
-            .chain(self.even.iter())
-            .map(|p| p.footprint_bytes())
-            .sum()
+/// Reset every list of one family to the single entry `(α, |B_v|)`, moving
+/// the running byte counter by the change in the family's footprint. Shared
+/// with the time-windowed tracker.
+pub(super) fn reset_family(
+    family: &mut [SparseProvenance],
+    totals: &[Quantity],
+    entries_bytes: &mut usize,
+) {
+    for (vec, &total) in family.iter_mut().zip(totals) {
+        *entries_bytes -= vec.footprint_bytes();
+        vec.reset_to_unknown(total);
+        *entries_bytes += vec.footprint_bytes();
     }
+}
+
+/// Footprint of both families' lists at the two endpoints of an
+/// interaction — the only lists it can resize. Shared with the time-windowed
+/// tracker.
+pub(super) fn endpoint_bytes(
+    odd: &[SparseProvenance],
+    even: &[SparseProvenance],
+    s: usize,
+    d: usize,
+) -> usize {
+    odd[s].footprint_bytes()
+        + odd[d].footprint_bytes()
+        + even[s].footprint_bytes()
+        + even[d].footprint_bytes()
 }
 
 #[cfg(test)]

@@ -18,11 +18,12 @@
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
-use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
+use crate::memory::{total_footprint, FootprintBreakdown, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
 use crate::sparse_vec::SparseProvenance;
-use crate::tracker::{split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::windowed::{endpoint_bytes, reset_family};
+use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
 
 /// Per-vertex state moved by the shard protocol: both vector families plus
 /// the scalar total.
@@ -41,6 +42,9 @@ pub struct TimeWindowedTracker {
     odd: Vec<SparseProvenance>,
     even: Vec<SparseProvenance>,
     totals: Vec<Quantity>,
+    /// Running sum of both families' list footprints (see
+    /// [`ProvenanceTracker::footprint`]); the spike monitor reads it too.
+    entries_bytes: usize,
     processed: usize,
     resets: usize,
     /// Index of the last window boundary crossed: `floor(t / duration)`.
@@ -65,6 +69,7 @@ impl TimeWindowedTracker {
             odd: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             even: (0..num_vertices).map(|_| SparseProvenance::new()).collect(),
             totals: vec![0.0; num_vertices],
+            entries_bytes: 0,
             processed: 0,
             resets: 0,
             epoch: 0,
@@ -94,7 +99,6 @@ impl TimeWindowedTracker {
     /// loop of `process`, shared with the shard-replica epoch sync).
     fn fire_resets_until(&mut self, now: f64) {
         let epoch_now = (now / self.duration).floor() as u64;
-        let fired = self.epoch < epoch_now;
         while self.epoch < epoch_now {
             self.epoch += 1;
             self.resets += 1;
@@ -103,22 +107,7 @@ impl TimeWindowedTracker {
             } else {
                 &mut self.even
             };
-            for (v, vec) in targets.iter_mut().enumerate() {
-                vec.reset_to_unknown(self.totals[v]);
-            }
-        }
-        if let Some(monitor) = &mut self.monitor {
-            if fired {
-                // A reset rewrites every vector of one family; re-basing the
-                // estimate costs O(|V|), same as the reset itself.
-                let estimate: usize = self
-                    .odd
-                    .iter()
-                    .chain(self.even.iter())
-                    .map(|p| p.footprint_bytes())
-                    .sum();
-                monitor.set_estimate(estimate);
-            }
+            reset_family(targets, &self.totals, &mut self.entries_bytes);
         }
     }
 
@@ -156,17 +145,10 @@ impl ProvenanceTracker for TimeWindowedTracker {
 
         // Fire any window boundaries passed since the previous interaction
         // *before* applying it, so the new quantities belong to the new epoch
-        // (and before measuring the monitored footprint delta, so the reset's
-        // wholesale re-estimate is not double-counted).
+        // (and before measuring the endpoints' bytes, so the reset's own
+        // counter update is not double-counted).
         self.fire_resets_until(r.time.value());
-        let fp_before = if self.monitor.is_some() {
-            self.odd[s].footprint_bytes()
-                + self.odd[d].footprint_bytes()
-                + self.even[s].footprint_bytes()
-                + self.even[d].footprint_bytes()
-        } else {
-            0
-        };
+        let before = endpoint_bytes(&self.odd, &self.even, s, d);
 
         Self::apply(&mut self.odd, &self.totals, r);
         Self::apply(&mut self.even, &self.totals, r);
@@ -179,13 +161,8 @@ impl ProvenanceTracker for TimeWindowedTracker {
         }
         self.totals[d] += r.qty;
         self.processed += 1;
-        if let Some(monitor) = &mut self.monitor {
-            let fp_after = self.odd[s].footprint_bytes()
-                + self.odd[d].footprint_bytes()
-                + self.even[s].footprint_bytes()
-                + self.even[d].footprint_bytes();
-            monitor.apply_delta(fp_after as isize - fp_before as isize);
-        }
+        self.entries_bytes =
+            self.entries_bytes - before + endpoint_bytes(&self.odd, &self.even, s, d);
     }
 
     fn buffered(&self, v: VertexId) -> Quantity {
@@ -204,13 +181,12 @@ impl ProvenanceTracker for TimeWindowedTracker {
     }
 
     fn footprint(&self) -> FootprintBreakdown {
+        debug_assert_eq!(
+            self.entries_bytes,
+            total_footprint(self.odd.iter().chain(&self.even))
+        );
         FootprintBreakdown {
-            entries_bytes: self
-                .odd
-                .iter()
-                .chain(self.even.iter())
-                .map(|p| p.footprint_bytes())
-                .sum(),
+            entries_bytes: self.entries_bytes,
             paths_bytes: 0,
             index_bytes: crate::memory::vec_bytes(&self.totals)
                 + std::mem::size_of::<SparseProvenance>()
@@ -240,18 +216,23 @@ impl MigratableTracker for TimeWindowedTracker {
 
     fn extract(&mut self, v: VertexId) -> TakenState {
         let i = v.index();
+        let bytes = &mut self.entries_bytes;
         TakenState {
-            odd: std::mem::take(&mut self.odd[i]),
-            even: std::mem::take(&mut self.even[i]),
+            odd: replace_counted(bytes, &mut self.odd[i], SparseProvenance::new()),
+            even: replace_counted(bytes, &mut self.even[i], SparseProvenance::new()),
             total: std::mem::take(&mut self.totals[i]),
         }
     }
 
     fn install(&mut self, v: VertexId, taken: TakenState) {
         let i = v.index();
-        self.odd[i] = taken.odd;
-        self.even[i] = taken.even;
+        replace_counted(&mut self.entries_bytes, &mut self.odd[i], taken.odd);
+        replace_counted(&mut self.entries_bytes, &mut self.even[i], taken.even);
         self.totals[i] = taken.total;
+    }
+
+    fn counted_bytes(&self) -> usize {
+        self.entries_bytes
     }
 
     fn encode_taken(taken: &TakenState, out: &mut Vec<u8>) {
@@ -268,22 +249,8 @@ impl MigratableTracker for TimeWindowedTracker {
         })
     }
 
-    // Migrating state carries its footprint with it (see
-    // `ProportionalSparseTracker`).
-    fn taken_footprint(taken: &TakenState) -> usize {
-        taken.odd.footprint_bytes() + taken.even.footprint_bytes()
-    }
-
     fn monitor_store(&mut self) -> Option<&mut Option<SpikeMonitor>> {
         Some(&mut self.monitor)
-    }
-
-    fn footprint_estimate(&self) -> usize {
-        self.odd
-            .iter()
-            .chain(self.even.iter())
-            .map(|p| p.footprint_bytes())
-            .sum()
     }
 }
 

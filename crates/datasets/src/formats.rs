@@ -149,6 +149,7 @@ fn read_records<R: Read>(
     let mut interner = VertexInterner::new();
     let mut interactions = Vec::new();
     let [src_col, dst_col, time_col, qty_col] = columns;
+    let mut first_record = true;
     for (idx, line) in buf.lines().enumerate() {
         let lineno = idx + 1;
         let line = line?;
@@ -156,14 +157,18 @@ fn read_records<R: Read>(
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        if idx == 0 {
-            if let Some(token) = header_token {
-                if trimmed.to_ascii_lowercase().contains(token) {
-                    continue;
-                }
-            }
-        }
         let fields = split_fields(trimmed);
+        // A header is the first record-like line, names the columns (holds
+        // the token), and has no number where the time or quantity goes — a
+        // headerless file whose first name happens to contain the token
+        // keeps its first interaction.
+        let is_number = |col: usize| fields.get(col).is_some_and(|f| f.parse::<f64>().is_ok());
+        if std::mem::take(&mut first_record)
+            && header_token.is_some_and(|token| trimmed.to_ascii_lowercase().contains(token))
+            && !(is_number(time_col) && is_number(qty_col))
+        {
+            continue;
+        }
         if fields.len() < expected_fields {
             return Err(TinError::Parse {
                 line: lineno,
@@ -389,6 +394,25 @@ mod tests {
         assert!(matches!(err, TinError::Parse { line: 2, .. }));
         let err = read_named_edge_list("alice,bob,1,notanumber\n".as_bytes()).unwrap_err();
         assert!(matches!(err, TinError::Parse { line: 1, .. }));
+    }
+
+    #[test]
+    fn header_token_in_a_headerless_first_line_keeps_the_interaction() {
+        let named = read_named_edge_list("srcA bob 1 3\nbob carol 2 4\n".as_bytes()).unwrap();
+        assert_eq!(named.interactions.len(), 2);
+        assert!(named.interner.get("srcA").is_some());
+        let text = "1FromXyz,1Abc,10,0.5\n1Abc,1Def,20,0.25\n";
+        let named = read_bitcoin_transactions(text.as_bytes()).unwrap();
+        assert_eq!(named.interactions.len(), 2);
+        assert!(named.interner.get("1FromXyz").is_some());
+    }
+
+    #[test]
+    fn header_after_leading_comments_and_blank_lines_is_skipped() {
+        let text = "# exported trace\n\nsrc,dst,time,qty\nalice,bob,1,3\nbob,carol,2,4\n";
+        let named = read_named_edge_list(text.as_bytes()).unwrap();
+        assert_eq!(named.interactions.len(), 2);
+        assert_eq!(named.num_vertices(), 3);
     }
 
     #[test]

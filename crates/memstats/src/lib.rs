@@ -27,6 +27,7 @@
 #![warn(rust_2018_idioms)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Bytes currently allocated through the counting allocator.
@@ -37,6 +38,13 @@ static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 /// Whether a [`CountingAllocator`] is installed as the global allocator.
 static INSTALLED: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Allocation calls made by the current thread. Const-initialised and
+    /// without a destructor, so the allocator can bump it on any thread at
+    /// any point of the thread's life without allocating itself.
+    static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// A global allocator that forwards to the system allocator while counting
 /// live bytes, peak bytes and allocation calls.
@@ -58,6 +66,7 @@ impl Default for CountingAllocator {
 fn on_alloc(size: usize) {
     INSTALLED.store(true, Ordering::Relaxed);
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|count| count.set(count.get() + 1));
     let now = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
     // Update the peak with a CAS loop (racy peaks are acceptable for the
     // experiment harness, but we avoid losing large updates).
@@ -128,6 +137,14 @@ pub fn snapshot() -> MemorySnapshot {
         peak_bytes: PEAK.load(Ordering::Relaxed),
         allocations: ALLOCATIONS.load(Ordering::Relaxed),
     }
+}
+
+/// Allocation calls the calling thread has made through the counting
+/// allocator since the thread started (0 when the allocator is not
+/// installed). Unlike [`MemorySnapshot::allocations`], allocations by other
+/// threads — a test harness's main thread, say — never move it.
+pub fn thread_allocations() -> usize {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 /// True if a [`CountingAllocator`] has observed at least one allocation,
@@ -239,6 +256,21 @@ mod tests {
         let after = snapshot();
         assert!(after.current_bytes <= during.current_bytes);
         assert!(allocator_installed());
+    }
+
+    #[test]
+    fn thread_allocations_count_only_the_calling_thread() {
+        let before = thread_allocations();
+        on_alloc(8);
+        on_dealloc(8);
+        assert_eq!(thread_allocations(), before + 1);
+        std::thread::spawn(|| {
+            on_alloc(8);
+            on_dealloc(8);
+        })
+        .join()
+        .unwrap();
+        assert_eq!(thread_allocations(), before + 1);
     }
 
     #[test]

@@ -38,15 +38,10 @@
 //! so index bytes scale with the shard count (that memory is genuinely
 //! allocated). `peak_footprint_bytes` is the maximum, over time, of the sum
 //! of the *latest* per-shard footprint samples — a synchronized global
-//! estimate, sampled on the same spike-or-interval schedule as the
-//! sequential engine, not the (inflated) sum of each shard's individual
-//! peak. [`EngineReport::runtime_secs`] also
-//! means something different here: the sequential engine times only
-//! `tracker.process` calls, while this engine times the *main thread's*
-//! work — scheduling, dispatch, quiesce waits and query rounds — and
-//! excludes worker compute running concurrently. Compare
-//! sharded-vs-sequential throughput with external wall-clock timing (as
-//! `bench_baseline`'s scaling section does), not with `runtime_secs`.
+//! estimate, not the (inflated) sum of each shard's individual peak. Each
+//! shard samples on a spike-or-interval schedule like the sequential
+//! engine's, but counts its own locally processed interactions (every 1024
+//! by default).
 //!
 //! ## Failure model
 //!
@@ -711,7 +706,6 @@ pub struct ShardedEngine {
     last_time: Option<f64>,
     total_quantity: Quantity,
     newborn_quantity: Quantity,
-    busy_secs: f64,
     /// The most recent full-footprint sample (total bytes) of each shard.
     latest_footprint: Vec<usize>,
     /// Maximum, over time, of `latest_footprint.iter().sum()` — the
@@ -788,7 +782,6 @@ impl ShardedEngine {
             last_time: None,
             total_quantity: 0.0,
             newborn_quantity: 0.0,
-            busy_secs: 0.0,
             latest_footprint: vec![0; num_shards],
             peak_footprint: 0,
             durable: None,
@@ -1100,12 +1093,12 @@ impl ShardedEngine {
     }
 
     /// Account one capture that began at `start` (after its quiesce) to the
-    /// coordinator's busy time and the `checkpoint_capture_ns` histogram.
+    /// `checkpoint_capture_ns` histogram.
     fn record_capture(&mut self, start: Instant) {
-        let capture = start.elapsed();
-        self.busy_secs += capture.as_secs_f64();
         if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.observe_duration(o.ckpt_capture_ns, capture);
+            o.obs
+                .metrics
+                .observe_duration(o.ckpt_capture_ns, start.elapsed());
             o.obs.trace.record("checkpoint_capture", 0, start);
         }
     }
@@ -1344,7 +1337,6 @@ impl ShardedEngine {
     /// replay (replay must not re-enter the buffer/durable bookkeeping of
     /// [`Self::process_attempt`]).
     fn apply_interaction(&mut self, r: &Interaction) -> Result<()> {
-        let start = Instant::now();
         if let Some(held) = self.recovery_snapshot.as_mut() {
             held.dirty[r.src.index()] = true;
             held.dirty[r.dst.index()] = true;
@@ -1361,7 +1353,6 @@ impl ShardedEngine {
         self.open_batch.push(*r);
         self.last_time = Some(r.time.0);
         self.processed += 1;
-        self.busy_secs += start.elapsed().as_secs_f64();
         Ok(())
     }
 
@@ -1466,10 +1457,7 @@ impl ShardedEngine {
     }
 
     fn report_attempt(&mut self) -> Result<EngineReport> {
-        // `quiesce` accounts for its own duration; time only the footprint
-        // query phase here, or the quiesce would be counted twice.
         self.quiesce()?;
-        let start = Instant::now();
         let mut footprint = FootprintBreakdown::default();
         for shard in 0..self.num_shards {
             self.send_to(shard, ToShard::QueryFootprint)?;
@@ -1493,11 +1481,9 @@ impl ShardedEngine {
         if let Some(o) = self.obs.as_deref_mut() {
             o.obs.metrics.set_gauge(o.footprint_bytes, current as u64);
         }
-        self.busy_secs += start.elapsed().as_secs_f64();
         Ok(EngineReport {
             policy: self.policy_key.clone(),
             interactions: self.processed,
-            runtime_secs: self.busy_secs,
             total_quantity: self.total_quantity,
             newborn_quantity: self.newborn_quantity,
             relayed_quantity: self.total_quantity - self.newborn_quantity,
@@ -1535,10 +1521,10 @@ impl ShardedEngine {
         }
         self.collect_sync_acks()?;
         self.synced_through = self.processed;
-        let elapsed = start.elapsed();
-        self.busy_secs += elapsed.as_secs_f64();
         if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.observe_duration(o.barrier_ns, elapsed);
+            o.obs
+                .metrics
+                .observe_duration(o.barrier_ns, start.elapsed());
             o.obs.trace.record("quiesce", 0, start);
         }
         Ok(())

@@ -6,9 +6,9 @@
 //! shape — the property that replaced the one-fresh-`Vec`-per-interaction
 //! behaviour of the original `merge_add_scaled`.
 //!
-//! This file intentionally contains a single test: the measurement relies on
-//! process-global allocator counters, so a concurrently running test in the
-//! same binary would pollute the delta.
+//! The measurement counts only the test thread's allocations
+//! (`tin_memstats::thread_allocations`), so libtest's main thread and any
+//! other test running alongside cannot pollute the delta.
 
 use tin::prelude::*;
 use tin_memstats::CountingAllocator;
@@ -54,12 +54,11 @@ fn steady_state_sparse_hot_path_does_not_allocate() {
         tin_memstats::allocator_installed(),
         "counting allocator must be active for this test to mean anything"
     );
-    let before = tin_memstats::snapshot();
+    let before = tin_memstats::thread_allocations();
     for r in &replay {
         tracker.process(r);
     }
-    let after = tin_memstats::snapshot();
-    let allocations = after.allocations - before.allocations;
+    let allocations = tin_memstats::thread_allocations() - before;
     assert_eq!(
         allocations,
         0,

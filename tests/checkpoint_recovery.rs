@@ -20,6 +20,9 @@ use tin_core::checkpoint::{Checkpoint, CheckpointStore, RetentionPolicy, SCHEMA_
 use tin_core::engine::ProvenanceEngine;
 use tin_shard::ShardedEngine;
 
+mod common;
+use common::all_configs;
+
 const MAX_VERTICES: u32 = 10;
 
 /// Strategy: a stream of valid interactions over a small vertex set with
@@ -44,27 +47,6 @@ fn interaction_stream(len: usize) -> impl Strategy<Value = Vec<Interaction>> {
             })
             .collect()
     })
-}
-
-/// Every policy configuration the factory can build.
-fn all_configs(num_vertices: usize) -> Vec<PolicyConfig> {
-    let mut configs: Vec<PolicyConfig> = SelectionPolicy::all()
-        .into_iter()
-        .map(PolicyConfig::Plain)
-        .collect();
-    configs.push(PolicyConfig::Selective {
-        tracked: vec![VertexId::new(0), VertexId::new(3)],
-    });
-    configs.push(PolicyConfig::Grouped {
-        num_groups: 3,
-        group_of: (0..num_vertices).map(|v| (v % 3) as u32).collect(),
-    });
-    configs.push(PolicyConfig::Windowed { window: 5 });
-    configs.push(PolicyConfig::TimeWindowed { duration: 7.5 });
-    configs.push(PolicyConfig::budget(3));
-    configs.push(PolicyConfig::PathTracking { lifo: false });
-    configs.push(PolicyConfig::GenerationPaths { most_recent: true });
-    configs
 }
 
 fn unique_dir(name: &str) -> std::path::PathBuf {

@@ -8,9 +8,9 @@
 //! `inc`/`observe`/`set_gauge` never touch the allocator; this test is the
 //! executable form of that contract.
 //!
-//! This file intentionally contains a single test: the measurement relies on
-//! process-global allocator counters, so a concurrently running test in the
-//! same binary would pollute the delta.
+//! The measurement counts only the test thread's allocations
+//! (`tin_memstats::thread_allocations`), so libtest's main thread and any
+//! other test running alongside cannot pollute the delta.
 
 use tin::prelude::*;
 use tin_memstats::CountingAllocator;
@@ -60,10 +60,9 @@ fn steady_state_with_metrics_enabled_does_not_allocate() {
         tin_memstats::allocator_installed(),
         "counting allocator must be active for this test to mean anything"
     );
-    let before = tin_memstats::snapshot();
+    let before = tin_memstats::thread_allocations();
     engine.process_all(&replay).expect("valid stream");
-    let after = tin_memstats::snapshot();
-    let allocations = after.allocations - before.allocations;
+    let allocations = tin_memstats::thread_allocations() - before;
     assert_eq!(
         allocations,
         0,

@@ -8,10 +8,14 @@
 //!    (Definition 2);
 //! 3. global conservation: everything buffered was generated somewhere;
 //! 4. dense and sparse proportional tracking are interchangeable;
-//! 5. the scope-limiting techniques never invent provenance.
+//! 5. the scope-limiting techniques never invent provenance;
+//! 6. the O(1) footprint counters agree with a full per-vertex recount.
 
 use proptest::prelude::*;
 use tin::prelude::*;
+
+mod common;
+use common::all_configs;
 
 const MAX_VERTICES: u32 = 12;
 
@@ -215,6 +219,66 @@ proptest! {
                 // because self-loops are impossible).
                 prop_assert!(*e.path.last().unwrap() != v);
             }
+        }
+    }
+
+    /// Every factory tracker's O(1) `footprint()` equals the full per-vertex
+    /// recount — `footprint()` asserts that itself in debug builds — after
+    /// every interaction, after migration round trips between two replicas
+    /// (as a cross-shard interaction makes them), after a checkpoint
+    /// restore, and after epoch jumps that fire window resets.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the recount is a debug assertion")]
+    fn footprint_counters_match_a_full_recount(stream in interaction_stream(60)) {
+        let n = MAX_VERTICES as usize;
+        for config in all_configs(n) {
+            let mut home = build_tracker(&config, n).unwrap();
+            let mut peer = build_tracker(&config, n).unwrap();
+            let mut moved = 0.0f64;
+            for (k, r) in stream.iter().enumerate() {
+                if k % 2 == 0 {
+                    home.process(r);
+                } else {
+                    // Both endpoints migrate to the peer, are processed
+                    // there and migrate home again.
+                    peer.sync_epoch(k, r.time.value());
+                    for v in [r.src, r.dst] {
+                        let state = home.take_vertex_state(v).unwrap();
+                        home.footprint();
+                        peer.put_vertex_state(v, state);
+                        peer.footprint();
+                    }
+                    peer.process(r);
+                    peer.footprint();
+                    for v in [r.src, r.dst] {
+                        let state = peer.take_vertex_state(v).unwrap();
+                        peer.footprint();
+                        home.put_vertex_state(v, state);
+                        home.footprint();
+                    }
+                    home.sync_epoch(k + 1, r.time.value());
+                }
+                moved += r.qty;
+                home.footprint();
+            }
+            let last_time = stream.last().map(|r| r.time.value());
+            let cursor = StreamCursor {
+                processed: stream.len(),
+                last_time,
+                total_quantity: moved,
+                newborn_quantity: 0.0,
+                peak_footprint_bytes: 0,
+            };
+            let checkpoint = Checkpoint::capture(&config, cursor, home.as_mut()).unwrap();
+            home.footprint();
+            let mut restored = build_tracker(&config, n).unwrap();
+            restored.sync_epoch(stream.len(), last_time.unwrap_or(0.0));
+            checkpoint.restore_into(restored.as_mut()).unwrap();
+            let footprint = restored.footprint();
+            prop_assert_eq!(footprint.paths_bytes > 0, home.footprint().paths_bytes > 0);
+            // Jump several windows ahead: every list of a family resets.
+            restored.sync_epoch(stream.len() + 23, last_time.unwrap_or(0.0) + 40.0);
+            restored.footprint();
         }
     }
 

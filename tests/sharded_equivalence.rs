@@ -15,6 +15,9 @@ use tin::prelude::*;
 use tin_core::engine::ProvenanceEngine;
 use tin_shard::ShardedEngine;
 
+mod common;
+use common::all_configs;
+
 const MAX_VERTICES: u32 = 10;
 
 /// Strategy: a stream of up to `len` valid interactions over a small vertex
@@ -41,26 +44,74 @@ fn interaction_stream(len: usize) -> impl Strategy<Value = Vec<Interaction>> {
     })
 }
 
-/// Every policy configuration the factory can build, including the
-/// scope-limited, windowed, budgeted and path-tracking families.
-fn all_configs(num_vertices: usize) -> Vec<PolicyConfig> {
-    let mut configs: Vec<PolicyConfig> = SelectionPolicy::all()
-        .into_iter()
-        .map(PolicyConfig::Plain)
-        .collect();
-    configs.push(PolicyConfig::Selective {
-        tracked: vec![VertexId::new(0), VertexId::new(3)],
-    });
-    configs.push(PolicyConfig::Grouped {
-        num_groups: 3,
-        group_of: (0..num_vertices).map(|v| (v % 3) as u32).collect(),
-    });
-    configs.push(PolicyConfig::Windowed { window: 5 });
-    configs.push(PolicyConfig::TimeWindowed { duration: 7.5 });
-    configs.push(PolicyConfig::budget(3));
-    configs.push(PolicyConfig::PathTracking { lifo: false });
-    configs.push(PolicyConfig::GenerationPaths { most_recent: true });
-    configs
+/// A skewed xorshift stream: low vertex ids are hubs, so lists, queues and
+/// heaps keep growing and the footprint samples keep moving.
+fn seeded_stream(n: u64, len: usize, mut state: u64) -> Vec<Interaction> {
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut time = 0.0;
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let hub = next() % n;
+        let src = next() % (hub + 1);
+        let hub = next() % n;
+        let dst = next() % (hub + 1);
+        if src == dst {
+            continue;
+        }
+        time += (next() % 3) as f64;
+        let qty = 1.0 + (next() % 100) as f64 / 4.0;
+        out.push(Interaction::new(src as u32, dst as u32, time, qty));
+    }
+    out
+}
+
+/// Peak footprints recorded from the build that recounted every vertex on
+/// each sample: the running counters must reproduce every sample, so both
+/// engines report exactly the recorded peaks (policy key, sequential,
+/// 2 shards).
+#[test]
+fn peak_footprints_match_recorded_values() {
+    const GOLDEN: [(&str, usize, usize); 14] = [
+        ("noprov", 640, 1280),
+        ("lrb", 268_480, 270_400),
+        ("mrb", 223_360, 225_280),
+        ("lifo", 94_080, 96_000),
+        ("fifo", 87_424, 89_344),
+        ("prop_dense", 13_120, 17_600),
+        ("prop_sparse", 32_960, 35_200),
+        ("selective_k2", 1_316, 1_984),
+        ("grouped_m3", 1_440, 2_232),
+        ("windowed_w5", 8_000, 12_160),
+        ("timewindowed_d7.5", 8_144, 12_304),
+        ("budget_c3", 6_168, 8_640),
+        ("paths_fifo", 372_800, 374_844),
+        ("paths_mrb", 506_456, 510_408),
+    ];
+    let n = 40;
+    let stream = seeded_stream(n as u64, 3000, 0x5eed_1234_abcd_9876);
+    let configs = all_configs(n);
+    assert_eq!(configs.len(), GOLDEN.len());
+    for (config, (key, sequential, sharded)) in configs.iter().zip(GOLDEN) {
+        assert_eq!(config.key(), key);
+        let mut engine = ProvenanceEngine::new(config, n)
+            .unwrap()
+            .with_footprint_sample_interval(64)
+            .unwrap();
+        engine.process_all(&stream).unwrap();
+        assert_eq!(engine.report().peak_footprint_bytes, sequential, "{key}");
+        let mut engine = ShardedEngine::new(config, n, 2)
+            .unwrap()
+            .with_footprint_sample_interval(64)
+            .unwrap();
+        engine.process_all(&stream).unwrap();
+        let report = engine.report().unwrap();
+        assert_eq!(report.peak_footprint_bytes, sharded, "{key}, 2 shards");
+    }
 }
 
 /// Acceptance criterion: bit-identical output on fixed-seed generated
