@@ -1,6 +1,6 @@
 //! Benches for the operational layer: engine overhead over a raw tracker,
-//! checkpointing cost, path tracking on top of the generation-time policies,
-//! and on-demand (lazy / backtracing) query latency.
+//! path tracking on top of the generation-time policies, and on-demand
+//! (lazy / backtracing) query latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tin_bench::Workload;
@@ -29,16 +29,6 @@ fn bench_engine_overhead(c: &mut Criterion) {
             let mut engine = ProvenanceEngine::new(&config, w.num_vertices).unwrap();
             engine.process_all(&w.interactions).unwrap();
             engine.report().interactions
-        })
-    });
-    group.bench_function("engine_with_checkpoints", |b| {
-        b.iter(|| {
-            let mut engine = ProvenanceEngine::new(&config, w.num_vertices)
-                .unwrap()
-                .with_checkpoints(w.interactions.len() / 4)
-                .unwrap();
-            engine.process_all(&w.interactions).unwrap();
-            engine.report().checkpoints_taken
         })
     });
     group.finish();

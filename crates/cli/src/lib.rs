@@ -1030,7 +1030,11 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                         processed = skip + i + 1;
                         progress(processed);
                     }
-                    engine.emit_telemetry("final")?;
+                    // An injected crash ends the stream like a real one:
+                    // no `final` record (the error is raised below).
+                    if crash_at.is_none() {
+                        engine.emit_telemetry("final")?;
+                    }
                     Ok(())
                 })();
                 if let Err(err) = streamed {
@@ -1871,6 +1875,52 @@ mod tests {
             }),
             Err(CliError::Tin(TinError::Io(_)))
         ));
+        std::fs::remove_file(path).ok();
+    }
+
+    /// An injected `--crash-at` ends the telemetry stream the way a real
+    /// crash would, without a `final` record, on both engines; a run that
+    /// completes ends with one.
+    #[test]
+    fn injected_crash_ends_telemetry_without_a_final_record() {
+        let path = write_trace("crash_telemetry");
+        for shards in [1usize, 2] {
+            for crash_at in [Some(3), None] {
+                let jsonl_path = temp_path(&format!("crash_telemetry_{shards}.jsonl"));
+                let result = run(&Command::Run {
+                    path: path.to_string_lossy().into_owned(),
+                    policy: SelectionPolicy::Fifo,
+                    shards,
+                    top: 10,
+                    checkpoint_dir: None,
+                    checkpoint_every: 1000,
+                    resume: false,
+                    crash_at,
+                    metrics_out: None,
+                    trace_out: None,
+                    progress_every: None,
+                    footprint_sample_every: None,
+                    chaos_plan: None,
+                    chaos_seed: 0,
+                    max_worker_restarts: 3,
+                    telemetry_out: Some(jsonl_path.to_string_lossy().into_owned()),
+                    telemetry_every: 1,
+                    crash_report: CrashReportMode::Off,
+                });
+                assert_eq!(result.is_err(), crash_at.is_some(), "shards {shards}");
+                let text = std::fs::read_to_string(&jsonl_path).unwrap();
+                let finals = text.matches("\"source\": \"final\"").count();
+                let last = text.lines().last().unwrap();
+                if crash_at.is_some() {
+                    assert_eq!(finals, 0, "shards {shards}:\n{text}");
+                    assert!(last.contains("\"at\": 3"), "shards {shards}:\n{text}");
+                } else {
+                    assert_eq!(finals, 1, "shards {shards}:\n{text}");
+                    assert!(last.contains("\"source\": \"final\""), "{text}");
+                }
+                std::fs::remove_file(&jsonl_path).ok();
+            }
+        }
         std::fs::remove_file(path).ok();
     }
 

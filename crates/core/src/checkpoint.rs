@@ -1,13 +1,15 @@
 //! Durable on-disk checkpoints and crash recovery.
 //!
-//! The in-memory [`crate::snapshot::ProvenanceSnapshot`] is a *lossy* summary
-//! (origin sets per vertex) intended for human-facing reporting. This module
-//! is the lossless counterpart: it serialises the **full** tracker state —
-//! every buffer, heap, queue and provenance vector, bit for bit — through the
-//! same per-vertex migration payloads the sharded engine moves between
-//! workers. A run resumed from a checkpoint is therefore indistinguishable
-//! from one that never stopped: every float compares equal with `==`, not
-//! merely approximately.
+//! A [`Checkpoint`] is the one way to capture engine state. It serialises
+//! the **full** tracker state — every buffer, heap, queue and provenance
+//! vector, bit for bit — through the same per-vertex migration payloads the
+//! sharded engine moves between workers. A run resumed from a checkpoint is
+//! therefore indistinguishable from one that never stopped: every float
+//! compares equal with `==`, not merely approximately. Both engines save
+//! checkpoints periodically through their [`crate::engine::RunLedger`], and
+//! the sharded engine's in-memory recovery snapshot wraps one. The lossy
+//! [`crate::snapshot::ProvenanceSnapshot`] (origin sets per vertex) is only a
+//! human-facing TSV export.
 //!
 //! ## File format (schema version 1)
 //!
@@ -268,6 +270,12 @@ impl Checkpoint {
             return Err(r.corrupt(format!(
                 "state count {count} does not match vertex count {num_vertices}"
             )));
+        }
+        // Each entry takes at least 12 bytes (a u32 id and a u64 length), so
+        // a count the body cannot hold is corrupt; checking it first keeps a
+        // crafted count from sizing the allocation below.
+        if r.remaining() < count.saturating_mul(12) {
+            return Err(r.corrupt(format!("truncated: {count} vertex states declared")));
         }
         let mut states = Vec::with_capacity(count);
         for i in 0..count {
@@ -745,6 +753,33 @@ mod tests {
             ckpt.restore_into(wrong.as_mut()),
             Err(TinError::InvalidConfig(_))
         ));
+    }
+
+    /// A file with valid CRCs whose policy and states sections declare a
+    /// huge vertex count decodes to a corrupt-checkpoint error. Sizing an
+    /// allocation by such a count aborts the process (2^40 entries) or
+    /// panics on capacity overflow (2^60).
+    #[test]
+    fn decode_rejects_state_counts_the_body_cannot_hold() {
+        for count in [1usize << 40, 1 << 60] {
+            let mut bytes = MAGIC.to_vec();
+            codec::put_u32(&mut bytes, SCHEMA_VERSION);
+            let mut body = Vec::new();
+            PolicyConfig::Plain(SelectionPolicy::Fifo).encode_into(&mut body);
+            codec::put_usize(&mut body, count);
+            append_section(&mut bytes, "policy", &body).unwrap();
+            body.clear();
+            StreamCursor::default().encode_into(&mut body);
+            append_section(&mut bytes, "cursor", &body).unwrap();
+            body.clear();
+            codec::put_usize(&mut body, count);
+            append_section(&mut bytes, "states", &body).unwrap();
+            let err = Checkpoint::decode(&bytes, "crafted.tin").unwrap_err();
+            assert!(
+                matches!(&err, TinError::CorruptCheckpoint { section, .. } if section == "states"),
+                "{count}: {err}"
+            );
+        }
     }
 
     #[test]

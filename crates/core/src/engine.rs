@@ -9,18 +9,22 @@
 //!   errors instead of debug assertions,
 //! * flow accounting (how much quantity was relayed vs. newly generated —
 //!   the two cases of Algorithm 1),
-//! * periodic checkpoints of the provenance state (see [`crate::snapshot`]),
+//! * periodic durable [`Checkpoint`]s of the full provenance state, which a
+//!   crashed or stopped run resumes from ([`ProvenanceEngine::resume_from`]),
 //! * and footprint accounting (the peak logical footprint of the run).
 //!
-//! [`ProvenanceEngine`] packages all of that behind one streaming interface,
-//! and [`run_ensemble`] runs several policies side by side over the same
-//! stream — the shape of every experiment in Section 7.
+//! [`RunLedger`] keeps that bookkeeping — stream position, flow totals,
+//! peak footprint, durable-save and telemetry cadence, and the run metrics —
+//! once for both engines: [`ProvenanceEngine`] here and the sharded engine
+//! of the `tin-shard` crate each embed one and add only their execution
+//! strategy. [`run_ensemble`] runs several policies side by side over the
+//! same stream — the shape of every experiment in Section 7.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use tin_obs::{CounterId, GaugeId, HistogramId, Obs, Telemetry};
+use tin_obs::{CounterId, GaugeId, HistogramId, Obs, Registry, Telemetry};
 
-use crate::checkpoint::{Checkpoint, CheckpointStore, SaveStats, StreamCursor};
+use crate::checkpoint::{Checkpoint, CheckpointStore, StreamCursor};
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
@@ -28,7 +32,6 @@ use crate::memory::FootprintBreakdown;
 use crate::origins::OriginSet;
 use crate::policy::PolicyConfig;
 use crate::quantity::Quantity;
-use crate::snapshot::ProvenanceSnapshot;
 use crate::stream::InteractionSource;
 use crate::tracker::{build_tracker, ProvenanceTracker};
 
@@ -60,7 +63,10 @@ pub struct EngineReport {
     /// an unmonitored tracker that falls between two samples is missed. At
     /// least as large as `footprint.total()`.
     pub peak_footprint_bytes: usize,
-    /// Number of checkpoints recorded during the run.
+    /// Durable checkpoints this engine saved during the run: the periodic
+    /// saves into the store attached with `with_durable_checkpoints`, on
+    /// both engines. Captures that were not saved (`checkpoint()`, the
+    /// sharded engine's recovery snapshots) do not count.
     pub checkpoints_taken: usize,
 }
 
@@ -76,19 +82,12 @@ impl EngineReport {
     }
 }
 
-/// Preregistered metric handles for an attached [`Obs`] unit. Registration
-/// happens once in [`ProvenanceEngine::with_observability`]; every hot-path
-/// update is an index into pre-sized storage (zero steady-state
-/// allocations, enforced by the `obs_alloc_counting` integration test).
-struct EngineObsState {
-    obs: Obs,
-    /// Per-interaction `tracker.process` latency.
-    latency_ns: HistogramId,
-    /// Sampled logical footprint (every periodic or spike-driven sample).
+/// Handles of the run metrics a [`RunLedger`] records: the sampled
+/// footprint and the durable-checkpoint figures. Both engines register them
+/// through [`Self::register`], so each name, kind and unit is written once.
+#[derive(Clone, Copy, Debug)]
+pub struct RunMetrics {
     footprint_bytes: GaugeId,
-    /// Spike-monitor firings that forced an out-of-schedule sample.
-    spikes: CounterId,
-    /// Durable checkpoint phase timings and retry churn.
     ckpt_capture_ns: HistogramId,
     ckpt_encode_ns: HistogramId,
     ckpt_write_ns: HistogramId,
@@ -96,54 +95,34 @@ struct EngineObsState {
     ckpt_bytes: GaugeId,
 }
 
-impl EngineObsState {
-    fn new(mut obs: Obs) -> Self {
-        let latency_ns = obs.metrics.histogram("tracker_latency_ns", "ns");
-        let footprint_bytes = obs.metrics.gauge("footprint_bytes", "bytes");
-        let spikes = obs.metrics.counter("footprint_spikes_total", "count");
-        let ckpt_capture_ns = obs.metrics.histogram("checkpoint_capture_ns", "ns");
-        let ckpt_encode_ns = obs.metrics.histogram("checkpoint_encode_ns", "ns");
-        let ckpt_write_ns = obs.metrics.histogram("checkpoint_write_ns", "ns");
-        let ckpt_retries = obs.metrics.counter("checkpoint_retries_total", "count");
-        let ckpt_bytes = obs.metrics.gauge("checkpoint_bytes", "bytes");
-        EngineObsState {
-            obs,
-            latency_ns,
-            footprint_bytes,
-            spikes,
-            ckpt_capture_ns,
-            ckpt_encode_ns,
-            ckpt_write_ns,
-            ckpt_retries,
-            ckpt_bytes,
+impl RunMetrics {
+    /// Register the run metrics into `metrics`. An engine calls this once
+    /// per attached [`Obs`], at the point of its own registration order it
+    /// wants the run metrics to take.
+    pub fn register(metrics: &mut Registry) -> Self {
+        RunMetrics {
+            footprint_bytes: metrics.gauge("footprint_bytes", "bytes"),
+            ckpt_capture_ns: metrics.histogram("checkpoint_capture_ns", "ns"),
+            ckpt_encode_ns: metrics.histogram("checkpoint_encode_ns", "ns"),
+            ckpt_write_ns: metrics.histogram("checkpoint_write_ns", "ns"),
+            ckpt_retries: metrics.counter("checkpoint_retries_total", "attempts"),
+            ckpt_bytes: metrics.gauge("checkpoint_bytes", "bytes"),
         }
     }
+}
 
-    /// Fold one durable-save's phase timings into the checkpoint metrics
-    /// and drop a span on the flight recorder.
-    fn record_checkpoint(
-        &mut self,
-        capture_started: Instant,
-        capture: Duration,
-        stats: Option<SaveStats>,
-    ) {
-        self.obs
-            .metrics
-            .observe_duration(self.ckpt_capture_ns, capture);
-        if let Some(s) = stats {
-            self.obs
-                .metrics
-                .observe(self.ckpt_encode_ns, secs_to_ns(s.encode_secs));
-            self.obs
-                .metrics
-                .observe(self.ckpt_write_ns, secs_to_ns(s.write_secs));
-            self.obs.metrics.add(self.ckpt_retries, s.retries as u64);
-            self.obs
-                .metrics
-                .set_gauge(self.ckpt_bytes, s.encoded_bytes as u64);
-        }
-        self.obs.trace.record("checkpoint", 0, capture_started);
-    }
+/// An observability unit attached to an engine: the caller's [`Obs`], the
+/// engine's own preregistered metric handles `M`, and the [`RunMetrics`]
+/// the ledger records. Every update is an index into pre-sized storage, so
+/// an instrumented hot path stays allocation-free (enforced by the
+/// `obs_alloc_counting` integration test).
+pub struct RunObs<M> {
+    /// The attached unit.
+    pub obs: Obs,
+    /// The engine's own metric handles, registered into `obs`.
+    pub ids: M,
+    /// The run metrics, registered into `obs` by [`RunMetrics::register`].
+    pub run: RunMetrics,
 }
 
 /// Whole nanoseconds from fractional seconds (saturating).
@@ -151,37 +130,303 @@ fn secs_to_ns(secs: f64) -> u64 {
     (secs * 1e9).max(0.0).min(u64::MAX as f64) as u64
 }
 
-/// An attached live-telemetry stream: a JSONL sink plus its cadence.
-/// Emission happens off the per-interaction hot path (every `every`
-/// interactions), so the zero-allocation steady-state contract is
-/// unaffected between emission points.
+/// An attached live-telemetry stream: the JSONL sink, its
+/// every-N-interactions cadence, and the stream position of its last record.
+/// Emission happens off the per-interaction hot path, so the
+/// zero-allocation steady-state contract holds between emission points.
 struct TelemetryState {
     sink: Telemetry,
     every: usize,
+    last_at: Option<u64>,
+}
+
+/// The run bookkeeping every engine shares, whatever its execution
+/// strategy: the policy and vertex count, the stream cursor (position, last
+/// timestamp, flow totals and peak footprint — exactly what a
+/// [`Checkpoint`] carries), the durable-save and telemetry cadences, and
+/// the attached observability unit with the run metrics. `M` is the
+/// engine's own metric-handle type (see [`RunObs`]).
+///
+/// An engine validates each interaction with [`Self::validate`], books it
+/// with [`Self::advance`] and [`Self::add_newborn`], feeds footprint samples
+/// to [`Self::note_footprint`], and after each interaction saves a capture
+/// when [`Self::save_due`] and calls [`Self::emit_interval_telemetry`].
+/// Short of an actual save or telemetry record, these calls neither
+/// allocate nor read the clock.
+pub struct RunLedger<M> {
+    config: PolicyConfig,
+    policy_key: String,
+    num_vertices: usize,
+    cursor: StreamCursor,
+    durable: Option<(CheckpointStore, usize)>,
+    saves: usize,
+    telemetry: Option<Box<TelemetryState>>,
+    /// Boxed so an uninstrumented engine pays one pointer and one branch.
+    obs: Option<Box<RunObs<M>>>,
+}
+
+impl<M> RunLedger<M> {
+    /// An empty ledger for a run of `config` over `num_vertices` vertices,
+    /// at stream position zero.
+    pub fn new(config: &PolicyConfig, num_vertices: usize) -> Self {
+        RunLedger {
+            config: config.clone(),
+            policy_key: config.key(),
+            num_vertices,
+            cursor: StreamCursor::default(),
+            durable: None,
+            saves: 0,
+            telemetry: None,
+            obs: None,
+        }
+    }
+
+    /// The policy configuration of the run.
+    pub fn config(&self) -> &PolicyConfig {
+        &self.config
+    }
+
+    /// The stable key of the run's policy.
+    pub fn policy_key(&self) -> &str {
+        &self.policy_key
+    }
+
+    /// The number of vertices of the run.
+    pub fn num_vertices(&self) -> usize {
+        self.num_vertices
+    }
+
+    /// The current stream position and flow counters.
+    pub fn cursor(&self) -> &StreamCursor {
+        &self.cursor
+    }
+
+    /// Continue from `cursor` (a restored checkpoint's, or the default to
+    /// start over). The peak footprint keeps the larger of the two: a
+    /// fresh engine takes the checkpoint's, while a sharded recovery that
+    /// restores an older snapshot keeps its live peak.
+    pub fn resume(&mut self, cursor: &StreamCursor) {
+        let peak = self.cursor.peak_footprint_bytes;
+        self.cursor = cursor.clone();
+        self.cursor.peak_footprint_bytes = peak.max(cursor.peak_footprint_bytes);
+    }
+
+    /// Validate `r` as the next interaction of the stream (see
+    /// [`validate_stream_step`]).
+    ///
+    /// # Errors
+    /// As [`validate_stream_step`].
+    pub fn validate(&self, r: &Interaction) -> Result<()> {
+        validate_stream_step(
+            r,
+            self.cursor.processed,
+            self.num_vertices,
+            self.cursor.last_time,
+        )
+    }
+
+    /// Book `r` as processed: its quantity joins the total and the stream
+    /// position moves past it. Its newborn share is booked separately
+    /// ([`Self::add_newborn`]), in stream order.
+    pub fn advance(&mut self, r: &Interaction) {
+        self.cursor.total_quantity += r.qty;
+        self.cursor.last_time = Some(r.time.0);
+        self.cursor.processed += 1;
+    }
+
+    /// Book the newborn quantity of the next interaction, in stream order
+    /// (float addition is not associative, so the order is part of the
+    /// bit-identity contract).
+    pub fn add_newborn(&mut self, newborn: Quantity) {
+        self.cursor.newborn_quantity += newborn;
+    }
+
+    /// Fold a footprint sample (total bytes) into the peak and the
+    /// `footprint_bytes` gauge.
+    pub fn note_footprint(&mut self, total: usize) {
+        self.cursor.peak_footprint_bytes = self.cursor.peak_footprint_bytes.max(total);
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.obs.metrics.set_gauge(o.run.footprint_bytes, total as u64);
+        }
+    }
+
+    /// Save a capture into `store` every `every` interactions (see
+    /// [`Self::save_due`]).
+    ///
+    /// # Errors
+    /// Returns [`TinError::InvalidConfig`] if `every` is zero.
+    pub fn set_durable(&mut self, store: CheckpointStore, every: usize) -> Result<()> {
+        if every == 0 {
+            return Err(TinError::InvalidConfig(
+                "durable checkpoint interval must be positive".into(),
+            ));
+        }
+        self.durable = Some((store, every));
+        Ok(())
+    }
+
+    /// Whether the engine should capture and [`Self::save`] now: a store is
+    /// attached and the stream position is a multiple of its interval.
+    pub fn save_due(&self) -> bool {
+        self.durable
+            .as_ref()
+            .is_some_and(|(_, every)| self.cursor.processed.is_multiple_of(*every))
+    }
+
+    /// Time one state capture that began at `start` under
+    /// `checkpoint_capture_ns`, with a `checkpoint_capture` span.
+    pub fn record_capture(&mut self, start: Instant) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.obs
+                .metrics
+                .observe_duration(o.run.ckpt_capture_ns, start.elapsed());
+            o.obs.trace.record("checkpoint_capture", 0, start);
+        }
+    }
+
+    /// Save `checkpoint` into the attached store and record the save's
+    /// encode/write timings, retries and size, with a `checkpoint_save`
+    /// span. Borrows the capture, so the caller may keep it.
+    ///
+    /// # Errors
+    /// Propagates [`CheckpointStore::save`] failures, and returns
+    /// [`TinError::InvalidConfig`] when no store is attached.
+    pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<()> {
+        let Some((store, _)) = self.durable.as_mut() else {
+            return Err(TinError::InvalidConfig(
+                "no durable checkpoint store attached".into(),
+            ));
+        };
+        let start = Instant::now();
+        store.save(checkpoint)?;
+        self.saves += 1;
+        if let (Some(o), Some(s)) = (self.obs.as_deref_mut(), store.last_save_stats()) {
+            let metrics = &mut o.obs.metrics;
+            metrics.observe(o.run.ckpt_encode_ns, secs_to_ns(s.encode_secs));
+            metrics.observe(o.run.ckpt_write_ns, secs_to_ns(s.write_secs));
+            metrics.add(o.run.ckpt_retries, s.retries as u64);
+            metrics.set_gauge(o.run.ckpt_bytes, s.encoded_bytes as u64);
+            o.obs.trace.record("checkpoint_save", 0, start);
+        }
+        Ok(())
+    }
+
+    /// Stream a telemetry record every `every` interactions.
+    ///
+    /// # Errors
+    /// Returns [`TinError::InvalidConfig`] if `every` is zero.
+    pub fn set_telemetry(&mut self, sink: Telemetry, every: usize) -> Result<()> {
+        if every == 0 {
+            return Err(TinError::InvalidConfig(
+                "telemetry interval must be positive".into(),
+            ));
+        }
+        self.telemetry = Some(Box::new(TelemetryState {
+            sink,
+            every,
+            last_at: None,
+        }));
+        Ok(())
+    }
+
+    /// Whether a telemetry stream and an observability unit are attached.
+    pub fn has_telemetry(&self) -> bool {
+        self.telemetry.is_some() && self.obs.is_some()
+    }
+
+    /// Whether the stream moved since the last telemetry record (false
+    /// without a telemetry stream).
+    pub fn telemetry_behind(&self) -> bool {
+        self.telemetry
+            .as_deref()
+            .is_some_and(|t| t.last_at != Some(self.cursor.processed as u64))
+    }
+
+    /// Emit one telemetry record of the current metrics at the current
+    /// stream position, tagged with `source`. Returns `false` without side
+    /// effects unless [`Self::has_telemetry`].
+    ///
+    /// # Errors
+    /// Propagates sink write failures as [`TinError::Io`].
+    pub fn emit_telemetry(&mut self, source: &str) -> Result<bool> {
+        let (Some(t), Some(o)) = (self.telemetry.as_deref_mut(), self.obs.as_deref()) else {
+            return Ok(false);
+        };
+        let at = self.cursor.processed as u64;
+        t.sink.emit(at, source, &o.obs.snapshot())?;
+        t.last_at = Some(at);
+        Ok(true)
+    }
+
+    /// Emit an `interval` record if the stream position is a multiple of
+    /// the telemetry cadence.
+    ///
+    /// # Errors
+    /// Propagates sink write failures as [`TinError::Io`].
+    pub fn emit_interval_telemetry(&mut self) -> Result<()> {
+        if self
+            .telemetry
+            .as_deref()
+            .is_some_and(|t| self.cursor.processed.is_multiple_of(t.every))
+        {
+            self.emit_telemetry("interval")?;
+        }
+        Ok(())
+    }
+
+    /// Attach an observability unit, replacing any previous one.
+    pub fn attach_obs(&mut self, obs: RunObs<M>) {
+        self.obs = Some(Box::new(obs));
+    }
+
+    /// The attached observability unit, if any.
+    pub fn obs(&self) -> Option<&RunObs<M>> {
+        self.obs.as_deref()
+    }
+
+    /// The attached observability unit, mutably.
+    pub fn obs_mut(&mut self) -> Option<&mut RunObs<M>> {
+        self.obs.as_deref_mut()
+    }
+
+    /// Detach the observability unit.
+    pub fn take_obs(&mut self) -> Option<Obs> {
+        self.obs.take().map(|o| o.obs)
+    }
+
+    /// The report for everything booked so far, given the current
+    /// footprint. The peak is at least the current footprint.
+    pub fn report(&self, footprint: FootprintBreakdown) -> EngineReport {
+        let c = &self.cursor;
+        EngineReport {
+            policy: self.policy_key.clone(),
+            interactions: c.processed,
+            total_quantity: c.total_quantity,
+            newborn_quantity: c.newborn_quantity,
+            relayed_quantity: c.total_quantity - c.newborn_quantity,
+            peak_footprint_bytes: c.peak_footprint_bytes.max(footprint.total()),
+            footprint,
+            checkpoints_taken: self.saves,
+        }
+    }
+}
+
+/// The sequential engine's own metric handles (the run metrics live in
+/// its [`RunLedger`]).
+struct EngineMetrics {
+    /// Per-interaction `tracker.process` latency.
+    latency_ns: HistogramId,
+    /// Spike-monitor firings that forced an out-of-schedule sample.
+    spikes: CounterId,
 }
 
 /// A validated, instrumented streaming front-end for one provenance tracker.
 pub struct ProvenanceEngine {
     tracker: Box<dyn ProvenanceTracker>,
-    config: PolicyConfig,
-    policy_key: String,
-    num_vertices: usize,
-    checkpoint_interval: Option<usize>,
-    checkpoints: Vec<ProvenanceSnapshot>,
-    durable: Option<(CheckpointStore, usize)>,
-    last_time: Option<f64>,
-    processed: usize,
-    total_quantity: Quantity,
-    newborn_quantity: Quantity,
-    peak_footprint_bytes: usize,
+    ledger: RunLedger<EngineMetrics>,
     /// Explicit footprint-sampling interval; `None` uses the default
     /// schedule `max(FOOTPRINT_SAMPLE_INTERVAL, |V|/64)`.
     footprint_sample_interval: Option<usize>,
-    /// Attached observability unit (`None` = uninstrumented: the hot path
-    /// pays exactly one branch).
-    obs: Option<Box<EngineObsState>>,
-    /// Attached live-telemetry stream, if any.
-    telemetry: Option<Box<TelemetryState>>,
 }
 
 impl ProvenanceEngine {
@@ -211,20 +456,8 @@ impl ProvenanceEngine {
         tracker.arm_spike_monitor(Self::SPIKE_FRACTION);
         Ok(ProvenanceEngine {
             tracker,
-            config: config.clone(),
-            policy_key: config.key(),
-            num_vertices,
-            checkpoint_interval: None,
-            checkpoints: Vec::new(),
-            durable: None,
-            last_time: None,
-            processed: 0,
-            total_quantity: 0.0,
-            newborn_quantity: 0.0,
-            peak_footprint_bytes: 0,
+            ledger: RunLedger::new(config, num_vertices),
             footprint_sample_interval: None,
-            obs: None,
-            telemetry: None,
         })
     }
 
@@ -255,20 +488,25 @@ impl ProvenanceEngine {
     /// allocation-free; the engine's observable results are unaffected.
     /// Retrieve the unit with [`Self::take_obs`] when the run ends.
     #[must_use]
-    pub fn with_observability(mut self, obs: Obs) -> Self {
-        self.obs = Some(Box::new(EngineObsState::new(obs)));
+    pub fn with_observability(mut self, mut obs: Obs) -> Self {
+        let ids = EngineMetrics {
+            latency_ns: obs.metrics.histogram("tracker_latency_ns", "ns"),
+            spikes: obs.metrics.counter("footprint_spikes_total", "spikes"),
+        };
+        let run = RunMetrics::register(&mut obs.metrics);
+        self.ledger.attach_obs(RunObs { obs, ids, run });
         self
     }
 
     /// The attached observability unit, if any (live scraping via
     /// [`Obs::snapshot`]).
     pub fn obs(&self) -> Option<&Obs> {
-        self.obs.as_deref().map(|state| &state.obs)
+        self.ledger.obs().map(|o| &o.obs)
     }
 
     /// Detach and return the observability unit for export.
     pub fn take_obs(&mut self) -> Option<Obs> {
-        self.obs.take().map(|state| state.obs)
+        self.ledger.take_obs()
     }
 
     /// Stream a delta-encoded telemetry record (see
@@ -279,15 +517,10 @@ impl ProvenanceEngine {
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
     pub fn with_telemetry(mut self, sink: Telemetry, every: usize) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "telemetry interval must be positive".into(),
-            ));
-        }
-        if self.obs.is_none() {
+        self.ledger.set_telemetry(sink, every)?;
+        if self.ledger.obs().is_none() {
             self = self.with_observability(Obs::new());
         }
-        self.telemetry = Some(Box::new(TelemetryState { sink, every }));
         Ok(self)
     }
 
@@ -298,35 +531,12 @@ impl ProvenanceEngine {
     /// # Errors
     /// Propagates sink write failures as [`TinError::Io`].
     pub fn emit_telemetry(&mut self, source: &str) -> Result<bool> {
-        let Some(t) = self.telemetry.as_deref_mut() else {
-            return Ok(false);
-        };
-        let Some(o) = self.obs.as_deref() else {
-            return Ok(false);
-        };
-        let snap = o.obs.snapshot();
-        t.sink.emit(self.processed as u64, source, &snap)?;
-        Ok(true)
-    }
-
-    /// Record a [`ProvenanceSnapshot`] every `interval` interactions.
-    ///
-    /// # Errors
-    /// Returns [`TinError::InvalidConfig`] if `interval` is zero.
-    pub fn with_checkpoints(mut self, interval: usize) -> Result<Self> {
-        if interval == 0 {
-            return Err(TinError::InvalidConfig(
-                "checkpoint interval must be positive".into(),
-            ));
-        }
-        self.checkpoint_interval = Some(interval);
-        Ok(self)
+        self.ledger.emit_telemetry(source)
     }
 
     /// Write a durable [`Checkpoint`] into `store` every `every`
-    /// interactions. Unlike [`Self::with_checkpoints`] (lossy in-memory
-    /// summaries), these are full lossless state captures a crashed run can
-    /// resume from with [`Self::resume_from`].
+    /// interactions: full lossless state captures a crashed run can resume
+    /// from with [`Self::resume_from`].
     ///
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
@@ -335,12 +545,7 @@ impl ProvenanceEngine {
         store: CheckpointStore,
         every: usize,
     ) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "durable checkpoint interval must be positive".into(),
-            ));
-        }
-        self.durable = Some((store, every));
+        self.ledger.set_durable(store, every)?;
         Ok(self)
     }
 
@@ -358,33 +563,32 @@ impl ProvenanceEngine {
         // Re-arm the spike monitor: `new` baselined it on an empty tracker,
         // and drift must be measured from the restored footprint.
         engine.tracker.arm_spike_monitor(Self::SPIKE_FRACTION);
-        engine.processed = checkpoint.cursor.processed;
-        engine.last_time = checkpoint.cursor.last_time;
-        engine.total_quantity = checkpoint.cursor.total_quantity;
-        engine.newborn_quantity = checkpoint.cursor.newborn_quantity;
-        engine.peak_footprint_bytes = checkpoint.cursor.peak_footprint_bytes;
+        engine.ledger.resume(&checkpoint.cursor);
         Ok(engine)
     }
 
     /// The engine's current stream position and flow counters.
     pub fn cursor(&self) -> StreamCursor {
-        StreamCursor {
-            processed: self.processed,
-            last_time: self.last_time,
-            total_quantity: self.total_quantity,
-            newborn_quantity: self.newborn_quantity,
-            peak_footprint_bytes: self.peak_footprint_bytes,
-        }
+        self.ledger.cursor().clone()
     }
 
     /// Capture a durable [`Checkpoint`] of the current state without
-    /// touching disk. The tracker's observable state is unchanged.
+    /// touching disk. The tracker's observable state is unchanged. An
+    /// attached observability unit times the capture under
+    /// `checkpoint_capture_ns`.
     ///
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] for trackers without durable
     /// checkpoint support (none of the factory policies).
     pub fn checkpoint(&mut self) -> Result<Checkpoint> {
-        Checkpoint::capture(&self.config, self.cursor(), self.tracker.as_mut())
+        let start = Instant::now();
+        let checkpoint = Checkpoint::capture(
+            self.ledger.config(),
+            self.ledger.cursor().clone(),
+            self.tracker.as_mut(),
+        )?;
+        self.ledger.record_capture(start);
+        Ok(checkpoint)
     }
 
     /// The wrapped tracker.
@@ -394,12 +598,7 @@ impl ProvenanceEngine {
 
     /// The stable key of the policy this engine runs.
     pub fn policy_key(&self) -> &str {
-        &self.policy_key
-    }
-
-    /// Checkpoints recorded so far, oldest first.
-    pub fn checkpoints(&self) -> &[ProvenanceSnapshot] {
-        &self.checkpoints
+        self.ledger.policy_key()
     }
 
     /// Current provenance of the quantity buffered at `v`.
@@ -420,15 +619,14 @@ impl ProvenanceEngine {
     /// * [`TinError::UnknownVertex`] for endpoints outside the vertex set,
     /// * [`TinError::OutOfOrder`] if time goes backwards.
     pub fn process(&mut self, r: &Interaction) -> Result<()> {
-        validate_stream_step(r, self.processed, self.num_vertices, self.last_time)?;
+        self.ledger.validate(r)?;
 
         // Flow accounting (Algorithm 1): anything the source buffer cannot
         // cover is newly generated at the source.
-        let newborn = newborn_quantity(self.tracker.buffered(r.src), r.qty);
-        self.total_quantity += r.qty;
-        self.newborn_quantity += newborn;
+        self.ledger
+            .add_newborn(newborn_quantity(self.tracker.buffered(r.src), r.qty));
 
-        match self.obs.as_deref_mut() {
+        match self.ledger.obs_mut() {
             // Uninstrumented: no clock reads on the per-interaction path.
             None => self.tracker.process(r),
             Some(o) => {
@@ -439,62 +637,37 @@ impl ProvenanceEngine {
                 self.tracker.process(r);
                 o.obs
                     .metrics
-                    .observe_duration(o.latency_ns, start.elapsed());
+                    .observe_duration(o.ids.latency_ns, start.elapsed());
                 o.obs.hot_vertices.offer(r.src.raw(), 1);
                 o.obs.hot_vertices.offer(r.dst.raw(), 1);
             }
         }
 
-        self.last_time = Some(r.time.0);
-        self.processed += 1;
-        let sample_every = self
-            .footprint_sample_interval
-            .unwrap_or_else(|| Self::FOOTPRINT_SAMPLE_INTERVAL.max(self.num_vertices / 64));
+        self.ledger.advance(r);
+        let sample_every = self.footprint_sample_interval.unwrap_or_else(|| {
+            Self::FOOTPRINT_SAMPLE_INTERVAL.max(self.ledger.num_vertices() / 64)
+        });
         // Read the spike flag unconditionally: a short-circuited read on a
         // periodic-sample interaction would leave the monitor un-rebaselined
         // and trigger a redundant full sample one interaction later.
         let spiked = self.tracker.take_footprint_spike();
-        if spiked || self.processed.is_multiple_of(sample_every) {
-            let total = self.tracker.footprint().total();
-            self.peak_footprint_bytes = self.peak_footprint_bytes.max(total);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.obs.metrics.set_gauge(o.footprint_bytes, total as u64);
-                if spiked {
-                    o.obs.metrics.inc(o.spikes);
+        if spiked || self.ledger.cursor().processed.is_multiple_of(sample_every) {
+            self.ledger.note_footprint(self.tracker.footprint().total());
+            if spiked {
+                if let Some(o) = self.ledger.obs_mut() {
+                    o.obs.metrics.inc(o.ids.spikes);
                 }
-            }
-            if !spiked {
+            } else {
                 // A spike read re-baselines on its own; periodic samples
                 // re-baseline here so drift is measured from the last sample.
                 self.tracker.note_footprint_sampled();
             }
         }
-        if let Some(interval) = self.checkpoint_interval {
-            if self.processed.is_multiple_of(interval) {
-                self.checkpoints
-                    .push(ProvenanceSnapshot::capture(self.tracker.as_ref(), r.time.0));
-            }
+        if self.ledger.save_due() {
+            let checkpoint = self.checkpoint()?;
+            self.ledger.save(&checkpoint)?;
         }
-        if let Some((_, every)) = &self.durable {
-            if self.processed.is_multiple_of(*every) {
-                let capture_start = Instant::now();
-                let checkpoint =
-                    Checkpoint::capture(&self.config, self.cursor(), self.tracker.as_mut())?;
-                let capture_elapsed = capture_start.elapsed();
-                let (store, _) = self.durable.as_mut().expect("durable checked above");
-                store.save(&checkpoint)?;
-                let stats = store.last_save_stats();
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.record_checkpoint(capture_start, capture_elapsed, stats);
-                }
-            }
-        }
-        if let Some(t) = self.telemetry.as_deref() {
-            if self.processed.is_multiple_of(t.every) {
-                self.emit_telemetry("interval")?;
-            }
-        }
-        Ok(())
+        self.ledger.emit_interval_telemetry()
     }
 
     /// Process every interaction of a slice, stopping at the first error.
@@ -515,28 +688,16 @@ impl ProvenanceEngine {
 
     /// The report for everything processed so far.
     pub fn report(&self) -> EngineReport {
-        let footprint = self.tracker.footprint();
-        EngineReport {
-            policy: self.policy_key.clone(),
-            interactions: self.processed,
-            total_quantity: self.total_quantity,
-            newborn_quantity: self.newborn_quantity,
-            relayed_quantity: self.total_quantity - self.newborn_quantity,
-            peak_footprint_bytes: self.peak_footprint_bytes.max(footprint.total()),
-            footprint,
-            checkpoints_taken: self.checkpoints.len()
-                + self.durable.as_ref().map_or(0, |(store, _)| store.saves()),
-        }
+        self.ledger.report(self.tracker.footprint())
     }
 }
 
 impl std::fmt::Debug for ProvenanceEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProvenanceEngine")
-            .field("policy", &self.policy_key)
-            .field("num_vertices", &self.num_vertices)
-            .field("processed", &self.processed)
-            .field("checkpoints", &self.checkpoints.len())
+            .field("policy", &self.ledger.policy_key())
+            .field("num_vertices", &self.ledger.num_vertices())
+            .field("processed", &self.ledger.cursor().processed)
             .finish()
     }
 }
@@ -677,25 +838,6 @@ mod tests {
         engine
             .process(&Interaction::new(1u32, 2u32, 5.0, 1.0))
             .unwrap();
-    }
-
-    #[test]
-    fn engine_checkpoints_periodically() {
-        let mut engine = ProvenanceEngine::new(&fifo_config(), 3)
-            .unwrap()
-            .with_checkpoints(2)
-            .unwrap();
-        engine.process_all(&paper_running_example()).unwrap();
-        let report = engine.report();
-        assert_eq!(report.checkpoints_taken, 3);
-        assert_eq!(engine.checkpoints().len(), 3);
-        assert_eq!(engine.checkpoints()[0].interactions_processed, 2);
-        assert_eq!(engine.checkpoints()[2].time, 8.0);
-        // Zero interval is rejected.
-        assert!(ProvenanceEngine::new(&fifo_config(), 3)
-            .unwrap()
-            .with_checkpoints(0)
-            .is_err());
     }
 
     #[test]
@@ -885,14 +1027,10 @@ mod tests {
         assert_eq!(hist("checkpoint_write_ns").count, 2);
         // ...and spans on the flight recorder.
         let obs = engine.take_obs().expect("detachable");
-        assert_eq!(
-            obs.trace
-                .events()
-                .iter()
-                .filter(|e| e.name == "checkpoint")
-                .count(),
-            2
-        );
+        for span in ["checkpoint_capture", "checkpoint_save"] {
+            let spans = obs.trace.events().iter().filter(|e| e.name == span);
+            assert_eq!(spans.count(), 2, "{span}");
+        }
         assert!(engine.obs().is_none());
 
         // Zero interval is rejected.

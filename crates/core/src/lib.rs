@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::origins::{OriginSet, OriginShare};
     pub use crate::policy::{PolicyConfig, SelectionPolicy, ShrinkCriterion};
     pub use crate::quantity::Quantity;
-    pub use crate::snapshot::{CheckpointedProvenance, ProvenanceSnapshot};
+    pub use crate::snapshot::ProvenanceSnapshot;
     pub use crate::stream::{InteractionSource, VecSource};
     pub use crate::tracker::backtrace::BacktraceIndex;
     pub use crate::tracker::budget::BudgetTracker;

@@ -1,20 +1,21 @@
-//! Provenance snapshots: persisting and diffing the provenance state.
+//! Provenance snapshots: exporting and diffing the provenance state.
 //!
 //! The trackers of [`crate::tracker`] answer "what is the provenance of the
 //! quantity buffered at `v` *right now*?". Analysts additionally want to
-//! persist that answer, compare it across time, and keep a bounded history of
-//! past states (the per-arrival pie charts of Figure 2 are exactly a sequence
-//! of snapshots of one vertex). This module provides:
+//! export that answer and compare it across time (the per-arrival pie charts
+//! of Figure 2 are exactly a sequence of snapshots of one vertex). This
+//! module provides:
 //!
-//! * [`ProvenanceSnapshot`] — a serialisable capture of every vertex's origin
-//!   set at one moment, with a plain-text persistence format;
+//! * [`ProvenanceSnapshot`] — every vertex's origin set at one moment, with a
+//!   plain-text TSV format (the export behind `tin-cli snapshot`);
 //! * [`SnapshotDiff`] — the per-vertex / per-origin change between two
-//!   snapshots;
-//! * [`CheckpointedProvenance`] — a tracker wrapper that records a snapshot
-//!   every `interval` interactions, giving O(1) *approximate* time-travel
-//!   queries at checkpoint granularity (exact arbitrary-time queries are the
-//!   job of [`crate::tracker::lazy`] and [`crate::tracker::backtrace`], which
-//!   replay the log instead).
+//!   snapshots.
+//!
+//! A snapshot is a lossy, human-facing export, not a way to capture engine
+//! state: the lossless capture is [`crate::checkpoint::Checkpoint`], which
+//! engines save periodically and resume from. A past state comes from a
+//! checkpoint plus replay, or exactly, at any time, from
+//! [`crate::tracker::lazy`] and [`crate::tracker::backtrace`].
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 
@@ -22,13 +23,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, TinError};
 use crate::ids::{GroupId, Origin, VertexId};
-use crate::interaction::Interaction;
-use crate::memory::FootprintBreakdown;
 use crate::origins::OriginSet;
 use crate::quantity::{qty_is_zero, Quantity};
 use crate::tracker::ProvenanceTracker;
 
-/// A capture of the provenance state of every vertex at one moment in time.
+/// The origin set of every vertex at one moment in time: a lossy export of
+/// the provenance state (see the module docs).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProvenanceSnapshot {
     /// Timestamp of the last interaction folded into this snapshot.
@@ -253,161 +253,11 @@ impl SnapshotDiff {
     }
 }
 
-/// A tracker wrapper that records periodic snapshots of the provenance state.
-///
-/// Every `interval` processed interactions a [`ProvenanceSnapshot`] is taken,
-/// so past states can be inspected in O(1) at checkpoint granularity — the
-/// space cost is one full origin decomposition per checkpoint, which is why
-/// the wrapper also supports a bounded history (`max_checkpoints`).
-pub struct CheckpointedProvenance {
-    tracker: Box<dyn ProvenanceTracker>,
-    interval: usize,
-    max_checkpoints: Option<usize>,
-    checkpoints: Vec<ProvenanceSnapshot>,
-    last_time: f64,
-}
-
-impl CheckpointedProvenance {
-    /// Wrap a tracker, snapshotting every `interval` interactions.
-    ///
-    /// # Errors
-    /// Returns [`TinError::InvalidConfig`] if `interval` is zero.
-    pub fn new(tracker: Box<dyn ProvenanceTracker>, interval: usize) -> Result<Self> {
-        if interval == 0 {
-            return Err(TinError::InvalidConfig(
-                "checkpoint interval must be positive".into(),
-            ));
-        }
-        Ok(CheckpointedProvenance {
-            tracker,
-            interval,
-            max_checkpoints: None,
-            checkpoints: Vec::new(),
-            last_time: 0.0,
-        })
-    }
-
-    /// Keep only the most recent `max` checkpoints (older ones are dropped).
-    pub fn with_max_checkpoints(mut self, max: usize) -> Self {
-        self.max_checkpoints = Some(max);
-        self
-    }
-
-    /// The wrapped tracker.
-    pub fn tracker(&self) -> &dyn ProvenanceTracker {
-        self.tracker.as_ref()
-    }
-
-    /// The checkpoints recorded so far, oldest first.
-    pub fn checkpoints(&self) -> &[ProvenanceSnapshot] {
-        &self.checkpoints
-    }
-
-    /// The checkpoint interval.
-    pub fn interval(&self) -> usize {
-        self.interval
-    }
-
-    /// The most recent checkpoint taken at or before time `t`, if any.
-    pub fn snapshot_at(&self, t: f64) -> Option<&ProvenanceSnapshot> {
-        self.checkpoints.iter().rev().find(|s| s.time <= t)
-    }
-
-    /// The buffered-quantity history of one vertex across checkpoints:
-    /// `(time, |B_v|, O(t, B_v))` per checkpoint (the raw material of the
-    /// Figure 2 accumulation plot at checkpoint granularity).
-    pub fn history_of(&self, v: VertexId) -> Vec<(f64, Quantity, OriginSet)> {
-        self.checkpoints
-            .iter()
-            .map(|s| (s.time, s.buffered(v), s.origins(v)))
-            .collect()
-    }
-
-    /// Take a snapshot right now, regardless of the interval.
-    pub fn checkpoint_now(&mut self) -> &ProvenanceSnapshot {
-        let snapshot = ProvenanceSnapshot::capture(self.tracker.as_ref(), self.last_time);
-        self.checkpoints.push(snapshot);
-        if let Some(max) = self.max_checkpoints {
-            let excess = self.checkpoints.len().saturating_sub(max);
-            if excess > 0 {
-                self.checkpoints.drain(..excess);
-            }
-        }
-        self.checkpoints.last().expect("just pushed")
-    }
-}
-
-impl std::fmt::Debug for CheckpointedProvenance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CheckpointedProvenance")
-            .field("tracker", &self.tracker.name())
-            .field("interval", &self.interval)
-            .field("checkpoints", &self.checkpoints.len())
-            .finish()
-    }
-}
-
-impl ProvenanceTracker for CheckpointedProvenance {
-    fn name(&self) -> &'static str {
-        "Checkpointed"
-    }
-
-    fn num_vertices(&self) -> usize {
-        self.tracker.num_vertices()
-    }
-
-    fn process(&mut self, r: &Interaction) {
-        self.tracker.process(r);
-        self.last_time = r.time.0;
-        if self
-            .tracker
-            .interactions_processed()
-            .is_multiple_of(self.interval)
-        {
-            self.checkpoint_now();
-        }
-    }
-
-    fn buffered(&self, v: VertexId) -> Quantity {
-        self.tracker.buffered(v)
-    }
-
-    fn origins(&self, v: VertexId) -> OriginSet {
-        self.tracker.origins(v)
-    }
-
-    fn footprint(&self) -> FootprintBreakdown {
-        let base = self.tracker.footprint();
-        // Account for the checkpoint storage in the index component.
-        let checkpoint_bytes: usize = self
-            .checkpoints
-            .iter()
-            .map(|s| {
-                s.origins
-                    .iter()
-                    .map(|o| o.len() * std::mem::size_of::<crate::origins::OriginShare>())
-                    .sum::<usize>()
-            })
-            .sum();
-        FootprintBreakdown {
-            entries_bytes: base.entries_bytes,
-            paths_bytes: base.paths_bytes,
-            index_bytes: base.index_bytes + checkpoint_bytes,
-        }
-    }
-
-    fn interactions_processed(&self) -> usize {
-        self.tracker.interactions_processed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::interaction::paper_running_example;
-    use crate::policy::{PolicyConfig, SelectionPolicy};
     use crate::quantity::qty_approx_eq;
-    use crate::tracker::build_tracker;
     use crate::tracker::proportional_sparse::ProportionalSparseTracker;
 
     fn v(i: u32) -> VertexId {
@@ -497,62 +347,5 @@ mod tests {
         let none = early.diff_from(&early);
         assert!(none.accumulating_vertices().is_empty());
         assert!(none.fastest_accumulator().is_none());
-    }
-
-    #[test]
-    fn checkpointing_every_two_interactions() {
-        let tracker = build_tracker(&PolicyConfig::Plain(SelectionPolicy::Fifo), 3).unwrap();
-        let mut checkpointed = CheckpointedProvenance::new(tracker, 2).unwrap();
-        checkpointed.process_all(&paper_running_example());
-        assert_eq!(checkpointed.checkpoints().len(), 3);
-        assert_eq!(checkpointed.interval(), 2);
-        // Times of the 2nd, 4th and 6th interactions.
-        let times: Vec<f64> = checkpointed.checkpoints().iter().map(|s| s.time).collect();
-        assert_eq!(times, vec![3.0, 5.0, 8.0]);
-        // snapshot_at picks the latest checkpoint at or before t.
-        assert_eq!(checkpointed.snapshot_at(4.9).unwrap().time, 3.0);
-        assert_eq!(checkpointed.snapshot_at(100.0).unwrap().time, 8.0);
-        assert!(checkpointed.snapshot_at(0.5).is_none());
-        // History of one vertex across checkpoints.
-        let history = checkpointed.history_of(v(0));
-        assert_eq!(history.len(), 3);
-        assert!(qty_approx_eq(history[0].1, 5.0));
-        // Wrapper still behaves like the underlying tracker.
-        assert!(checkpointed.check_all_invariants());
-        assert_eq!(checkpointed.interactions_processed(), 6);
-        assert!(checkpointed.footprint().index_bytes > 0);
-        assert_eq!(checkpointed.name(), "Checkpointed");
-        assert!(format!("{checkpointed:?}").contains("Checkpointed"));
-    }
-
-    #[test]
-    fn bounded_checkpoint_history() {
-        let tracker = build_tracker(&PolicyConfig::Plain(SelectionPolicy::Fifo), 3).unwrap();
-        let mut checkpointed = CheckpointedProvenance::new(tracker, 1)
-            .unwrap()
-            .with_max_checkpoints(2);
-        checkpointed.process_all(&paper_running_example());
-        assert_eq!(checkpointed.checkpoints().len(), 2);
-        // Only the two most recent remain.
-        assert_eq!(checkpointed.checkpoints()[0].time, 7.0);
-        assert_eq!(checkpointed.checkpoints()[1].time, 8.0);
-    }
-
-    #[test]
-    fn zero_interval_is_rejected() {
-        let tracker = build_tracker(&PolicyConfig::Plain(SelectionPolicy::Fifo), 3).unwrap();
-        assert!(CheckpointedProvenance::new(tracker, 0).is_err());
-    }
-
-    #[test]
-    fn manual_checkpoint() {
-        let tracker = build_tracker(&PolicyConfig::Plain(SelectionPolicy::Lifo), 3).unwrap();
-        let mut checkpointed = CheckpointedProvenance::new(tracker, 1000).unwrap();
-        checkpointed.process_all(&paper_running_example());
-        assert!(checkpointed.checkpoints().is_empty());
-        let snap = checkpointed.checkpoint_now().clone();
-        assert_eq!(snap.interactions_processed, 6);
-        assert_eq!(checkpointed.checkpoints().len(), 1);
-        assert_eq!(checkpointed.tracker().name(), "LIFO");
     }
 }

@@ -152,9 +152,9 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError}
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tin_core::checkpoint::{Checkpoint, CheckpointStore, SaveStats, StreamCursor};
+use tin_core::checkpoint::{Checkpoint, CheckpointStore, StreamCursor};
 use tin_core::codec::ByteReader;
-use tin_core::engine::{newborn_quantity, validate_stream_step, EngineReport};
+use tin_core::engine::{newborn_quantity, EngineReport, RunLedger, RunMetrics, RunObs};
 use tin_core::error::{Result, TinError};
 use tin_core::ids::VertexId;
 use tin_core::interaction::Interaction;
@@ -488,32 +488,25 @@ enum BatchAbort {
     MainLost,
 }
 
-/// The main thread's observability state: the user's [`Obs`] with the
-/// shared worker-metric prefix registered first (the
-/// [`Registry::merge_prefix_from`] layout contract), followed by the
-/// main-thread scheduling, barrier and checkpoint metrics.
-struct ShardObsState {
-    obs: Obs,
+/// The coordinator's own metric handles, registered into the user's [`Obs`]
+/// after the shared worker-metric prefix (the
+/// [`Registry::merge_prefix_from`] layout contract); the run metrics
+/// (footprint and checkpoints) live in the engine's [`RunLedger`].
+struct ShardMetrics {
     /// Worker-prefix handles: valid into every worker delta registry too
     /// (the layouts are identical by construction), which is how
     /// [`ShardedEngine::collect_sync_acks`] reads each shard's busy time
     /// without a snapshot.
-    worker_ids: WorkerMetricIds,
+    worker: WorkerMetricIds,
     wavefront_size: HistogramId,
     wavefronts: CounterId,
     inflight: GaugeId,
     barrier_ns: HistogramId,
-    footprint_bytes: GaugeId,
     /// Per-barrier-window spread (max − min) of the shards' busy time.
     busy_spread: GaugeId,
     /// Per-barrier-window max/mean shard busy time, in permille (1000 =
     /// perfectly balanced).
     imbalance: GaugeId,
-    ckpt_capture_ns: HistogramId,
-    ckpt_encode_ns: HistogramId,
-    ckpt_write_ns: HistogramId,
-    ckpt_retries: CounterId,
-    ckpt_bytes: GaugeId,
     respawns: CounterId,
     recoveries: CounterId,
     replayed: CounterId,
@@ -524,79 +517,34 @@ struct ShardObsState {
     snapshot_bytes: CounterId,
 }
 
-impl ShardObsState {
-    fn new(mut obs: Obs) -> Self {
+impl ShardMetrics {
+    fn attach(mut obs: Obs) -> RunObs<Self> {
         // Worker prefix first: shard deltas merge into the registry by
         // index, so the prefix layouts must be identical.
-        let worker_ids = register_worker_metrics(&mut obs.metrics);
+        let worker = register_worker_metrics(&mut obs.metrics);
         let m = &mut obs.metrics;
         let wavefront_size = m.histogram("wavefront_batch_interactions_total", "interactions");
         let wavefronts = m.counter("wavefronts_total", "wavefronts");
         let inflight = m.gauge("wavefronts_in_flight_total", "wavefronts");
         let barrier_ns = m.histogram("sync_barrier_ns", "ns");
-        let footprint_bytes = m.gauge("footprint_bytes", "bytes");
-        let busy_spread = m.gauge("barrier_busy_spread_ns", "ns");
-        let imbalance = m.gauge("batch_imbalance_ratio", "permille");
-        let ckpt_capture_ns = m.histogram("checkpoint_capture_ns", "ns");
-        let ckpt_encode_ns = m.histogram("checkpoint_encode_ns", "ns");
-        let ckpt_write_ns = m.histogram("checkpoint_write_ns", "ns");
-        let ckpt_retries = m.counter("checkpoint_retries_total", "attempts");
-        let ckpt_bytes = m.gauge("checkpoint_bytes", "bytes");
-        let respawns = m.counter("worker_respawns_total", "workers");
-        let recoveries = m.counter("recoveries_total", "recoveries");
-        let replayed = m.counter("replayed_interactions_total", "interactions");
-        let recovery_ns = m.histogram("recovery_ns", "ns");
-        let snapshot_vertices = m.counter("recovery_snapshot_vertices_total", "vertices");
-        let snapshot_bytes = m.counter("recovery_snapshot_encoded_bytes", "bytes");
-        ShardObsState {
-            obs,
-            worker_ids,
+        let run = RunMetrics::register(m);
+        let ids = ShardMetrics {
+            worker,
             wavefront_size,
             wavefronts,
             inflight,
             barrier_ns,
-            footprint_bytes,
-            busy_spread,
-            imbalance,
-            ckpt_capture_ns,
-            ckpt_encode_ns,
-            ckpt_write_ns,
-            ckpt_retries,
-            ckpt_bytes,
-            respawns,
-            recoveries,
-            replayed,
-            recovery_ns,
-            snapshot_vertices,
-            snapshot_bytes,
-        }
+            busy_spread: m.gauge("barrier_busy_spread_ns", "ns"),
+            imbalance: m.gauge("batch_imbalance_ratio", "permille"),
+            respawns: m.counter("worker_respawns_total", "workers"),
+            recoveries: m.counter("recoveries_total", "recoveries"),
+            replayed: m.counter("replayed_interactions_total", "interactions"),
+            recovery_ns: m.histogram("recovery_ns", "ns"),
+            snapshot_vertices: m.counter("recovery_snapshot_vertices_total", "vertices"),
+            snapshot_bytes: m.counter("recovery_snapshot_encoded_bytes", "bytes"),
+        };
+        RunObs { obs, ids, run }
     }
-
-    /// Fold one [`CheckpointStore::save`]'s timing figures into the
-    /// checkpoint metrics.
-    fn record_save(&mut self, stats: Option<SaveStats>) {
-        let Some(s) = stats else { return };
-        self.obs
-            .metrics
-            .observe(self.ckpt_encode_ns, secs_to_ns(s.encode_secs));
-        self.obs
-            .metrics
-            .observe(self.ckpt_write_ns, secs_to_ns(s.write_secs));
-        self.obs.metrics.add(self.ckpt_retries, s.retries as u64);
-        self.obs
-            .metrics
-            .set_gauge(self.ckpt_bytes, s.encoded_bytes as u64);
-    }
-}
-
-/// An attached live-telemetry stream: the JSONL sink, its
-/// every-N-interactions cadence, and the stream position of the last record
-/// (so the quiesce syncs of post-run queries do not emit stale barriers
-/// after the `final` record).
-struct TelemetryState {
-    sink: Telemetry,
-    every: usize,
-    last_at: Option<u64>,
 }
 
 /// The in-memory restore point of supervised recovery, with what an
@@ -669,22 +617,15 @@ fn route_captures(
     per_shard
 }
 
-/// Seconds (as measured) to integer nanoseconds for histogram observation.
-fn secs_to_ns(secs: f64) -> u64 {
-    if secs <= 0.0 {
-        0
-    } else {
-        (secs * 1e9).round().min(u64::MAX as f64) as u64
-    }
-}
-
 /// A parallel drop-in for [`tin_core::engine::ProvenanceEngine`]: same validation, flow
 /// accounting and report surface, bit-identical provenance, `N`-way shard
 /// parallelism (see the module docs).
 pub struct ShardedEngine {
-    config: PolicyConfig,
-    policy_key: String,
-    num_vertices: usize,
+    /// Policy, vertex count, stream cursor (position, flow totals, the
+    /// synchronized global footprint peak), durable-save and telemetry
+    /// cadences, and the observability unit. The peak is the maximum, over
+    /// time, of `latest_footprint.iter().sum()`.
+    ledger: RunLedger<ShardMetrics>,
     num_shards: usize,
     scheduler: WavefrontScheduler,
     to_shards: Vec<Sender<ToShard>>,
@@ -698,33 +639,15 @@ pub struct ShardedEngine {
     in_flight: BTreeMap<usize, PendingBatch>,
     /// Start index of the next wavefront to fold into the flow totals.
     next_fold: usize,
-    processed: usize,
     /// Stream position the shards were last quiesced at: a repeated quiesce
     /// with no interactions in between is a no-op, so query loops (e.g. the
     /// CLI printing every vertex) pay the synchronisation round once.
     synced_through: usize,
-    last_time: Option<f64>,
-    total_quantity: Quantity,
-    newborn_quantity: Quantity,
     /// The most recent full-footprint sample (total bytes) of each shard.
     latest_footprint: Vec<usize>,
-    /// Maximum, over time, of `latest_footprint.iter().sum()` — the
-    /// synchronized global footprint peak reported by [`Self::report`].
-    peak_footprint: usize,
-    /// Durable checkpoint store and interval, when periodic checkpoints are
-    /// enabled via [`Self::with_durable_checkpoints`].
-    durable: Option<(CheckpointStore, usize)>,
-    /// Durable checkpoints written so far (periodic and on-demand).
-    checkpoints_taken: usize,
     /// Set on the first worker failure; every subsequent operation returns
     /// this error instead of touching the (dead) channels.
     poisoned: Option<TinError>,
-    /// Observability sink, when attached via [`Self::with_observability`].
-    /// Boxed so the uninstrumented engine pays one pointer and one branch.
-    obs: Option<Box<ShardObsState>>,
-    /// Live telemetry stream ([`Self::with_telemetry`]): records are
-    /// emitted every `every` interactions and at every sync barrier.
-    telemetry: Option<Box<TelemetryState>>,
     /// Supervised-recovery configuration ([`Self::with_self_healing`]).
     /// `None` (the default): worker death poisons the engine (fail fast).
     recovery: Option<RecoveryPolicy>,
@@ -765,9 +688,7 @@ impl ShardedEngine {
         let (to_shards, from_shards, handles) = spawn_pool(config, num_vertices, num_shards);
 
         Ok(ShardedEngine {
-            config: config.clone(),
-            policy_key: config.key(),
-            num_vertices,
+            ledger: RunLedger::new(config, num_vertices),
             num_shards,
             scheduler: WavefrontScheduler::new(num_vertices, EpochRule::for_policy(config)),
             to_shards,
@@ -777,18 +698,9 @@ impl ShardedEngine {
             open_start: 0,
             in_flight: BTreeMap::new(),
             next_fold: 0,
-            processed: 0,
             synced_through: 0,
-            last_time: None,
-            total_quantity: 0.0,
-            newborn_quantity: 0.0,
             latest_footprint: vec![0; num_shards],
-            peak_footprint: 0,
-            durable: None,
-            checkpoints_taken: 0,
             poisoned: None,
-            obs: None,
-            telemetry: None,
             recovery: None,
             recovery_snapshot: None,
             replay_buffer: VecDeque::new(),
@@ -811,12 +723,7 @@ impl ShardedEngine {
         store: CheckpointStore,
         every: usize,
     ) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "durable checkpoint interval must be positive".into(),
-            ));
-        }
-        self.durable = Some((store, every));
+        self.ledger.set_durable(store, every)?;
         Ok(self)
     }
 
@@ -831,12 +738,12 @@ impl ShardedEngine {
     /// # Errors
     /// [`TinError::WorkerLost`] if a shard worker died.
     pub fn with_observability(mut self, obs: Obs) -> Result<Self> {
-        let state = Box::new(ShardObsState::new(obs));
-        let epoch = state.obs.trace.epoch();
+        let attached = ShardMetrics::attach(obs);
+        let epoch = attached.obs.trace.epoch();
         for shard in 0..self.num_shards {
             self.send_to(shard, ToShard::EnableObs { epoch })?;
         }
-        self.obs = Some(state);
+        self.ledger.attach_obs(attached);
         Ok(self)
     }
 
@@ -920,7 +827,7 @@ impl ShardedEngine {
     /// The attached observability sink, if any. Worker metrics lag until
     /// the next sync barrier; use [`Self::take_obs`] for final numbers.
     pub fn obs(&self) -> Option<&Obs> {
-        self.obs.as_deref().map(|s| &s.obs)
+        self.ledger.obs().map(|o| &o.obs)
     }
 
     /// Quiesce (folding every worker's outstanding metric and span deltas
@@ -929,11 +836,11 @@ impl ShardedEngine {
     /// # Errors
     /// [`TinError::WorkerLost`] if a shard worker died.
     pub fn take_obs(&mut self) -> Result<Option<Obs>> {
-        if self.obs.is_none() {
+        if self.ledger.obs().is_none() {
             return Ok(None);
         }
         self.with_heal(Self::quiesce)?;
-        Ok(self.obs.take().map(|s| s.obs))
+        Ok(self.ledger.take_obs())
     }
 
     /// Detach the observability sink *without* quiescing — the crash
@@ -942,7 +849,7 @@ impl ShardedEngine {
     /// (plus all coordinator-side metrics and spans), which is exactly the
     /// black box a post-mortem wants.
     pub fn take_obs_unsynced(&mut self) -> Option<Obs> {
-        self.obs.take().map(|s| s.obs)
+        self.ledger.take_obs()
     }
 
     /// Stream a delta-encoded telemetry record (see [`tin_obs::Telemetry`])
@@ -954,19 +861,10 @@ impl ShardedEngine {
     /// [`TinError::WorkerLost`] if a shard worker died while attaching the
     /// implicit observability sink.
     pub fn with_telemetry(mut self, sink: Telemetry, every: usize) -> Result<Self> {
-        if every == 0 {
-            return Err(TinError::InvalidConfig(
-                "telemetry interval must be positive".into(),
-            ));
-        }
-        if self.obs.is_none() {
+        self.ledger.set_telemetry(sink, every)?;
+        if self.ledger.obs().is_none() {
             self = self.with_observability(Obs::new())?;
         }
-        self.telemetry = Some(Box::new(TelemetryState {
-            sink,
-            every,
-            last_at: None,
-        }));
         Ok(self)
     }
 
@@ -981,28 +879,11 @@ impl ShardedEngine {
     /// Propagates sink write failures as [`TinError::Io`], and
     /// [`TinError::WorkerLost`] if a shard worker died during the quiesce.
     pub fn emit_telemetry(&mut self, source: &str) -> Result<bool> {
-        if self.obs.is_none() || self.telemetry.is_none() {
+        if !self.ledger.has_telemetry() {
             return Ok(false);
         }
         self.quiesce()?;
-        self.emit_record(source)
-    }
-
-    /// Emit one record from the coordinator's current view, without forcing
-    /// a barrier: worker metrics are as of the last sync. The internal
-    /// interval and barrier emission points go through here — the hot path
-    /// must not pay a quiesce per record.
-    fn emit_record(&mut self, source: &str) -> Result<bool> {
-        let Some(o) = self.obs.as_deref() else {
-            return Ok(false);
-        };
-        let Some(t) = self.telemetry.as_deref_mut() else {
-            return Ok(false);
-        };
-        let snap = o.obs.snapshot();
-        t.sink.emit(self.processed as u64, source, &snap)?;
-        t.last_at = Some(self.processed as u64);
-        Ok(true)
+        self.ledger.emit_telemetry(source)
     }
 
     /// Quiesce all shards at the current stream position and capture one
@@ -1027,19 +908,19 @@ impl ShardedEngine {
             ),
             None => route_captures(
                 self.num_shards,
-                (0..self.num_vertices).map(|v| (v as u32, Vec::new())),
+                (0..self.ledger.num_vertices()).map(|v| (v as u32, Vec::new())),
             ),
         };
         let mut states = self.capture_states(requests)?;
         // Each shard reports its owned subset; merge into global vertex
         // order so the file is independent of the shard count that wrote it.
         states.sort_unstable_by_key(|(v, _)| *v);
-        debug_assert_eq!(states.len(), self.num_vertices);
-        self.record_capture(start);
+        debug_assert_eq!(states.len(), self.ledger.num_vertices());
+        self.ledger.record_capture(start);
         Ok(Checkpoint {
-            policy: self.config.clone(),
-            num_vertices: self.num_vertices,
-            cursor: self.cursor(),
+            policy: self.ledger.config().clone(),
+            num_vertices: self.ledger.num_vertices(),
+            cursor: self.ledger.cursor().clone(),
             states,
         })
     }
@@ -1058,14 +939,14 @@ impl ShardedEngine {
         let requests = route_captures(self.num_shards, held.take_dirty_spares());
         let encoded = self.capture_states(requests)?;
         let vertices = encoded.len();
-        let cursor = self.cursor();
+        let cursor = self.ledger.cursor().clone();
         let held = self
             .recovery_snapshot
             .as_mut()
             .expect("only a held snapshot is patched");
         let bytes = held.patch(encoded, cursor);
         self.replay_buffer.clear();
-        self.record_capture(start);
+        self.ledger.record_capture(start);
         Ok((vertices, bytes))
     }
 
@@ -1090,28 +971,6 @@ impl ShardedEngine {
             }
         }
         Ok(captured)
-    }
-
-    /// Account one capture that began at `start` (after its quiesce) to the
-    /// `checkpoint_capture_ns` histogram.
-    fn record_capture(&mut self, start: Instant) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs
-                .metrics
-                .observe_duration(o.ckpt_capture_ns, start.elapsed());
-            o.obs.trace.record("checkpoint_capture", 0, start);
-        }
-    }
-
-    /// The stream cursor at the current position.
-    fn cursor(&self) -> StreamCursor {
-        StreamCursor {
-            processed: self.processed,
-            last_time: self.last_time,
-            total_quantity: self.total_quantity,
-            newborn_quantity: self.newborn_quantity,
-            peak_footprint_bytes: self.peak_footprint,
-        }
     }
 
     /// Rebuild a sharded engine from a durable [`Checkpoint`], repartitioned
@@ -1157,18 +1016,12 @@ impl ShardedEngine {
         // consumed (or surfaces a worker death) before the engine is handed
         // back.
         self.sync_barrier(processed, now)?;
-        self.processed = processed;
+        // The ledger keeps the larger peak: during recovery the live peak
+        // (≥ the snapshot's) must survive.
+        self.ledger.resume(&checkpoint.cursor);
         self.open_start = processed;
         self.next_fold = processed;
         self.synced_through = processed;
-        self.last_time = checkpoint.cursor.last_time;
-        self.total_quantity = checkpoint.cursor.total_quantity;
-        self.newborn_quantity = checkpoint.cursor.newborn_quantity;
-        // `max`: on a fresh engine this seeds the checkpoint's peak; during
-        // recovery the live peak (≥ the snapshot's) must survive.
-        self.peak_footprint = self
-            .peak_footprint
-            .max(checkpoint.cursor.peak_footprint_bytes);
         Ok(())
     }
 
@@ -1197,7 +1050,7 @@ impl ShardedEngine {
                 _ => unreachable!("only sync acknowledgements are outstanding"),
             }
         }
-        if let Some(o) = self.obs.as_deref_mut() {
+        if let Some(o) = self.ledger.obs_mut() {
             deltas.sort_by_key(|(shard, _)| *shard);
             // Skew: each delta covers exactly one barrier-to-barrier window,
             // so the per-shard `shard_batch_ns` sums are directly comparable
@@ -1205,7 +1058,7 @@ impl ShardedEngine {
             // when every shard reported (a partial window would understate
             // the laggards).
             if deltas.len() == self.num_shards && self.num_shards > 1 {
-                let batch_ns = o.worker_ids.batch_ns;
+                let batch_ns = o.ids.worker.batch_ns;
                 let busy: Vec<u64> = deltas
                     .iter()
                     .map(|(_, d)| d.metrics.histogram_data(batch_ns).sum())
@@ -1213,10 +1066,10 @@ impl ShardedEngine {
                 let max = busy.iter().copied().max().unwrap_or(0);
                 if max > 0 {
                     let min = busy.iter().copied().min().unwrap_or(0);
-                    o.obs.metrics.set_gauge(o.busy_spread, max - min);
+                    o.obs.metrics.set_gauge(o.ids.busy_spread, max - min);
                     let mean = busy.iter().sum::<u64>() / busy.len() as u64;
                     if let Some(ratio) = max.saturating_mul(1000).checked_div(mean) {
-                        o.obs.metrics.set_gauge(o.imbalance, ratio);
+                        o.obs.metrics.set_gauge(o.ids.imbalance, ratio);
                     }
                 }
             }
@@ -1231,12 +1084,8 @@ impl ShardedEngine {
         // emission point (the merged registry was just brought current) —
         // but only while the stream is advancing: the quiesce syncs issued
         // by post-run queries would otherwise re-emit the same position.
-        let advanced = self
-            .telemetry
-            .as_deref()
-            .is_some_and(|t| t.last_at != Some(self.processed as u64));
-        if !deltas.is_empty() && advanced {
-            self.emit_record("barrier")?;
+        if !deltas.is_empty() && self.ledger.telemetry_behind() {
+            self.ledger.emit_telemetry("barrier")?;
         }
         Ok(())
     }
@@ -1248,7 +1097,7 @@ impl ShardedEngine {
 
     /// The stable key of the policy this engine runs.
     pub fn policy_key(&self) -> &str {
-        &self.policy_key
+        self.ledger.policy_key()
     }
 
     /// Test hook: make worker `shard` panic on its next message, exercising
@@ -1272,31 +1121,26 @@ impl ShardedEngine {
     /// self-loop, unknown vertex, or time going backwards — plus
     /// [`TinError::WorkerLost`] if a shard worker died.
     pub fn process(&mut self, r: &Interaction) -> Result<()> {
-        validate_stream_step(r, self.processed, self.num_vertices, self.last_time)?;
+        self.ledger.validate(r)?;
         // The interaction enters the replay buffer *before* it is applied,
         // so a successful heal may already have re-applied it — the stream
         // position tells the two cases apart.
-        let target = self.processed + 1;
+        let target = self.ledger.cursor().processed + 1;
         loop {
             match self.process_attempt(r) {
                 Ok(()) => break,
                 Err(e @ TinError::WorkerLost { .. }) if self.recovery.is_some() => {
                     self.heal_within_budget(e)?;
-                    if self.processed >= target {
+                    if self.ledger.cursor().processed >= target {
                         break;
                     }
                 }
                 Err(e) => return Err(e),
             }
         }
-        if let Some(t) = self.telemetry.as_deref() {
-            // Worker metrics in this record are as of the last barrier —
-            // the coordinator does not force a quiesce just to emit.
-            if self.processed.is_multiple_of(t.every) {
-                self.emit_record("interval")?;
-            }
-        }
-        Ok(())
+        // Worker metrics in an interval record are as of the last barrier —
+        // the coordinator does not force a quiesce just to emit.
+        self.ledger.emit_interval_telemetry()
     }
 
     /// One attempt at processing `r` (validation already done by
@@ -1312,22 +1156,13 @@ impl ShardedEngine {
             self.replay_buffer.push_back(*r);
         }
         self.apply_interaction(r)?;
-        if let Some((_, every)) = &self.durable {
-            let every = *every;
-            if self.processed.is_multiple_of(every) {
-                let checkpoint = self.checkpoint_attempt()?;
-                let (store, _) = self.durable.as_mut().expect("durable checked above");
-                store.save(&checkpoint)?;
-                let stats = store.last_save_stats();
-                self.checkpoints_taken += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.record_save(stats);
-                }
-                // The restore point must never lag the newest durable file:
-                // an older in-memory snapshot would need replay-buffer
-                // entries this save just made safe to drop.
-                self.adopt_snapshot(checkpoint);
-            }
+        if self.ledger.save_due() {
+            let checkpoint = self.checkpoint_attempt()?;
+            self.ledger.save(&checkpoint)?;
+            // The restore point must never lag the newest durable file:
+            // an older in-memory snapshot would need replay-buffer
+            // entries this save just made safe to drop.
+            self.adopt_snapshot(checkpoint);
         }
         Ok(())
     }
@@ -1341,18 +1176,17 @@ impl ShardedEngine {
             held.dirty[r.src.index()] = true;
             held.dirty[r.dst.index()] = true;
         }
-        self.total_quantity += r.qty;
-        if !self.scheduler.offer(r, self.processed) {
+        let index = self.ledger.cursor().processed;
+        if !self.scheduler.offer(r, index) {
             self.dispatch_open_batch()?;
-            let joined = self.scheduler.offer(r, self.processed);
+            let joined = self.scheduler.offer(r, index);
             debug_assert!(joined, "a fresh wavefront always accepts");
         }
         if self.open_batch.is_empty() {
-            self.open_start = self.processed;
+            self.open_start = index;
         }
         self.open_batch.push(*r);
-        self.last_time = Some(r.time.0);
-        self.processed += 1;
+        self.ledger.advance(r);
         Ok(())
     }
 
@@ -1431,7 +1265,7 @@ impl ShardedEngine {
         for shard in 0..self.num_shards {
             self.send_to(shard, ToShard::QueryBufferedAll)?;
         }
-        let mut out = vec![0.0; self.num_vertices];
+        let mut out = vec![0.0; self.ledger.num_vertices()];
         for _ in 0..self.num_shards {
             match self.recv()? {
                 FromShard::BufferedAll(entries) => {
@@ -1476,21 +1310,9 @@ impl ShardedEngine {
         // All shards are quiesced at the same stream position, so the sum of
         // these simultaneous samples IS the current global footprint; fold
         // it into the running peak.
-        let current: usize = self.latest_footprint.iter().sum();
-        self.peak_footprint = self.peak_footprint.max(current);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.set_gauge(o.footprint_bytes, current as u64);
-        }
-        Ok(EngineReport {
-            policy: self.policy_key.clone(),
-            interactions: self.processed,
-            total_quantity: self.total_quantity,
-            newborn_quantity: self.newborn_quantity,
-            relayed_quantity: self.total_quantity - self.newborn_quantity,
-            peak_footprint_bytes: self.peak_footprint,
-            footprint,
-            checkpoints_taken: self.checkpoints_taken,
-        })
+        self.ledger
+            .note_footprint(self.latest_footprint.iter().sum());
+        Ok(self.ledger.report(footprint))
     }
 
     /// Dispatch the open wavefront (if any) and block until every shard has
@@ -1498,7 +1320,8 @@ impl ShardedEngine {
     /// stream position.
     fn quiesce(&mut self) -> Result<()> {
         self.check_poisoned()?;
-        if self.synced_through == self.processed {
+        let processed = self.ledger.cursor().processed;
+        if self.synced_through == processed {
             debug_assert!(self.open_batch.is_empty() && self.in_flight.is_empty());
             return Ok(());
         }
@@ -1506,25 +1329,19 @@ impl ShardedEngine {
         if !self.open_batch.is_empty() {
             self.dispatch_open_batch()?;
         }
-        while self.next_fold < self.processed {
+        while self.next_fold < processed {
             self.handle_completion()?;
         }
-        let now = self.last_time.unwrap_or(0.0);
+        let now = self.ledger.cursor().last_time.unwrap_or(0.0);
         for shard in 0..self.num_shards {
-            self.send_to(
-                shard,
-                ToShard::Sync {
-                    processed: self.processed,
-                    now,
-                },
-            )?;
+            self.send_to(shard, ToShard::Sync { processed, now })?;
         }
         self.collect_sync_acks()?;
-        self.synced_through = self.processed;
-        if let Some(o) = self.obs.as_deref_mut() {
+        self.synced_through = processed;
+        if let Some(o) = self.ledger.obs_mut() {
             o.obs
                 .metrics
-                .observe_duration(o.barrier_ns, start.elapsed());
+                .observe_duration(o.ids.barrier_ns, start.elapsed());
             o.obs.trace.record("quiesce", 0, start);
         }
         Ok(())
@@ -1539,10 +1356,10 @@ impl ShardedEngine {
             return Ok(());
         }
         let start_time = self.open_batch[0].time.value();
-        let dispatch_started = self.obs.is_some().then(Instant::now);
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.observe(o.wavefront_size, len as u64);
-            o.obs.metrics.inc(o.wavefronts);
+        let dispatch_started = self.ledger.obs().is_some().then(Instant::now);
+        if let Some(o) = self.ledger.obs_mut() {
+            o.obs.metrics.observe(o.ids.wavefront_size, len as u64);
+            o.obs.metrics.inc(o.ids.wavefronts);
         }
 
         let mut cmds: Vec<BatchCmd> = (0..self.num_shards)
@@ -1585,11 +1402,11 @@ impl ShardedEngine {
                 newborn: vec![0.0; len],
             },
         );
-        if let (Some(started), Some(o)) = (dispatch_started, self.obs.as_deref_mut()) {
+        if let (Some(started), Some(o)) = (dispatch_started, self.ledger.obs_mut()) {
             o.obs.trace.record("wavefront_dispatch", 0, started);
             o.obs
                 .metrics
-                .set_gauge(o.inflight, self.in_flight.len() as u64);
+                .set_gauge(o.ids.inflight, self.in_flight.len() as u64);
         }
         // Backpressure: bound the number of wavefronts in flight.
         while self.in_flight.len() > MAX_IN_FLIGHT {
@@ -1647,11 +1464,8 @@ impl ShardedEngine {
             // which combines maxima from unrelated moments and can only
             // overestimate.
             self.latest_footprint[shard] = total;
-            let current: usize = self.latest_footprint.iter().sum();
-            self.peak_footprint = self.peak_footprint.max(current);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.obs.metrics.set_gauge(o.footprint_bytes, current as u64);
-            }
+            self.ledger
+                .note_footprint(self.latest_footprint.iter().sum());
         }
         let batch = self
             .in_flight
@@ -1671,7 +1485,7 @@ impl ShardedEngine {
             let (start, batch) = entry.remove_entry();
             debug_assert_eq!(start, self.next_fold);
             for q in &batch.newborn {
-                self.newborn_quantity += *q;
+                self.ledger.add_newborn(*q);
             }
             self.next_fold = start + batch.len;
         }
@@ -1719,8 +1533,8 @@ impl ShardedEngine {
             }
             self.restarts_used += 1;
             self.recovery_stats.workers_respawned += self.num_shards;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.obs.metrics.add(o.respawns, self.num_shards as u64);
+            if let Some(o) = self.ledger.obs_mut() {
+                o.obs.metrics.add(o.ids.respawns, self.num_shards as u64);
             }
             match self.heal_attempt() {
                 Ok(replayed) => {
@@ -1729,10 +1543,10 @@ impl ShardedEngine {
                     self.recovery_stats.replayed_interactions += replayed;
                     self.recovery_stats.last_rto_secs = elapsed.as_secs_f64();
                     self.recovery_stats.total_recovery_secs += elapsed.as_secs_f64();
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.obs.metrics.inc(o.recoveries);
-                        o.obs.metrics.add(o.replayed, replayed as u64);
-                        o.obs.metrics.observe_duration(o.recovery_ns, elapsed);
+                    if let Some(o) = self.ledger.obs_mut() {
+                        o.obs.metrics.inc(o.ids.recoveries);
+                        o.obs.metrics.add(o.ids.replayed, replayed as u64);
+                        o.obs.metrics.observe_duration(o.ids.recovery_ns, elapsed);
                         o.obs.trace.record("recovery", 0, start);
                     }
                     return Ok(());
@@ -1764,8 +1578,11 @@ impl ShardedEngine {
         // block recovery forever — and the old generation's `main_tx` now
         // points at a dropped receiver, so its stragglers (including the
         // second `WorkerFailed` of a double kill) can never reach us.
-        let (to_shards, from_shards, handles) =
-            spawn_pool(&self.config, self.num_vertices, self.num_shards);
+        let (to_shards, from_shards, handles) = spawn_pool(
+            self.ledger.config(),
+            self.ledger.num_vertices(),
+            self.num_shards,
+        );
         self.to_shards = to_shards;
         self.from_shards = from_shards;
         self.handles = handles;
@@ -1773,8 +1590,10 @@ impl ShardedEngine {
         // lost (their interactions sit in the replay buffer), the open
         // batch is re-cut by the replay, footprint samples restart.
         self.poisoned = None;
-        self.scheduler =
-            WavefrontScheduler::new(self.num_vertices, EpochRule::for_policy(&self.config));
+        self.scheduler = WavefrontScheduler::new(
+            self.ledger.num_vertices(),
+            EpochRule::for_policy(self.ledger.config()),
+        );
         self.open_batch.clear();
         self.in_flight.clear();
         self.latest_footprint = vec![0; self.num_shards];
@@ -1784,7 +1603,7 @@ impl ShardedEngine {
                 self.send_to(shard, ToShard::SetSampleInterval(every))?;
             }
         }
-        if let Some(epoch) = self.obs.as_deref().map(|o| o.obs.trace.epoch()) {
+        if let Some(epoch) = self.ledger.obs().map(|o| o.obs.trace.epoch()) {
             for shard in 0..self.num_shards {
                 self.send_to(shard, ToShard::EnableObs { epoch })?;
             }
@@ -1806,13 +1625,10 @@ impl ShardedEngine {
                 // one, so this is defensive): the replay buffer covers the
                 // whole prefix — rewind the stream counters to zero and let
                 // the replay rebuild everything on the fresh trackers.
-                self.processed = 0;
+                self.ledger.resume(&StreamCursor::default());
                 self.open_start = 0;
                 self.next_fold = 0;
                 self.synced_through = 0;
-                self.last_time = None;
-                self.total_quantity = 0.0;
-                self.newborn_quantity = 0.0;
             }
         }
         // Deterministic replay through the normal scheduling path, in
@@ -1840,18 +1656,18 @@ impl ShardedEngine {
         }
         // Epoch resets of windowed policies rewrite every vertex, so only
         // the other policies can patch the dirty vertices alone.
-        let patchable = EpochRule::for_policy(&self.config) == EpochRule::None;
+        let patchable = EpochRule::for_policy(self.ledger.config()) == EpochRule::None;
         let (vertices, bytes) = if patchable && self.recovery_snapshot.is_some() {
             self.patch_snapshot_attempt()?
         } else {
             let snapshot = self.checkpoint_attempt()?;
             let bytes = snapshot.states.iter().map(|(_, b)| b.len()).sum();
             self.adopt_snapshot(snapshot);
-            (self.num_vertices, bytes)
+            (self.ledger.num_vertices(), bytes)
         };
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.obs.metrics.add(o.snapshot_vertices, vertices as u64);
-            o.obs.metrics.add(o.snapshot_bytes, bytes as u64);
+        if let Some(o) = self.ledger.obs_mut() {
+            o.obs.metrics.add(o.ids.snapshot_vertices, vertices as u64);
+            o.obs.metrics.add(o.ids.snapshot_bytes, bytes as u64);
         }
         Ok(())
     }
@@ -1862,7 +1678,7 @@ impl ShardedEngine {
         if self.recovery.is_none() {
             return;
         }
-        debug_assert_eq!(snapshot.cursor.processed, self.processed);
+        debug_assert_eq!(snapshot.cursor.processed, self.ledger.cursor().processed);
         self.replay_buffer.clear();
         match self.recovery_snapshot.as_mut() {
             Some(held) => held.replace(snapshot),
@@ -1940,10 +1756,10 @@ impl Drop for ShardedEngine {
 impl std::fmt::Debug for ShardedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
-            .field("policy", &self.policy_key)
-            .field("num_vertices", &self.num_vertices)
+            .field("policy", &self.ledger.policy_key())
+            .field("num_vertices", &self.ledger.num_vertices())
             .field("num_shards", &self.num_shards)
-            .field("processed", &self.processed)
+            .field("processed", &self.ledger.cursor().processed)
             .field("poisoned", &self.poisoned.is_some())
             .finish()
     }
@@ -2384,28 +2200,6 @@ fn run_batch(
     }
 
     Ok(newborn)
-}
-
-/// Run several policy configurations over the same interaction sequence on a
-/// sharded engine each — the sharded counterpart of
-/// [`tin_core::engine::run_ensemble`].
-///
-/// # Errors
-/// Propagates configuration and validation errors; an invalid member aborts
-/// the whole ensemble.
-pub fn run_ensemble_sharded(
-    configs: &[PolicyConfig],
-    num_vertices: usize,
-    interactions: &[Interaction],
-    num_shards: usize,
-) -> Result<Vec<EngineReport>> {
-    let mut reports = Vec::with_capacity(configs.len());
-    for config in configs {
-        let mut engine = ShardedEngine::new(config, num_vertices, num_shards)?;
-        engine.process_all(interactions)?;
-        reports.push(engine.report()?);
-    }
-    Ok(reports)
 }
 
 #[cfg(test)]

@@ -15,9 +15,10 @@
 //!   as packed provenance-delta messages (the per-vertex buffers move
 //!   wholesale, keeping the SoA key/value layout of
 //!   `tin_core::sparse_vec`), and merges per-shard flow and footprint
-//!   accounting into one [`tin_core::engine::EngineReport`];
-//! * [`engine::run_ensemble_sharded`] is the sharded counterpart of
-//!   [`tin_core::engine::run_ensemble`];
+//!   accounting into one [`tin_core::engine::EngineReport`]. Its run
+//!   bookkeeping (stream cursor, flow totals, durable saves, telemetry, run
+//!   metrics) is the [`tin_core::engine::RunLedger`] the sequential engine
+//!   embeds too;
 //! * [`engine::ShardedEngine::with_self_healing`] upgrades worker-death
 //!   fail-fast to supervised in-run recovery (pool respawn + snapshot
 //!   restore + bounded deterministic replay, budgeted by
@@ -43,7 +44,7 @@
 pub mod engine;
 pub mod wavefront;
 
-pub use engine::{run_ensemble_sharded, shard_of, RecoveryPolicy, RecoveryStats, ShardedEngine};
+pub use engine::{shard_of, RecoveryPolicy, RecoveryStats, ShardedEngine};
 pub use wavefront::{EpochRule, WavefrontScheduler, DEFAULT_MAX_BATCH};
 
 #[cfg(test)]
@@ -218,30 +219,6 @@ mod tests {
             assert_eq!(engine.policy_key(), "prop_sparse");
             assert!(format!("{engine:?}").contains("prop_sparse"));
         }
-    }
-
-    /// The sharded ensemble mirrors the sequential ensemble.
-    #[test]
-    fn ensemble_matches_sequential() {
-        let n = 12usize;
-        let stream = synthetic_stream(n as u32, 150);
-        let configs = vec![
-            PolicyConfig::Plain(SelectionPolicy::NoProvenance),
-            PolicyConfig::Plain(SelectionPolicy::ProportionalSparse),
-            PolicyConfig::Windowed { window: 8 },
-        ];
-        let sequential = tin_core::engine::run_ensemble(&configs, n, &stream).unwrap();
-        let sharded = run_ensemble_sharded(&configs, n, &stream, 3).unwrap();
-        assert_eq!(sequential.len(), sharded.len());
-        for (a, b) in sequential.iter().zip(&sharded) {
-            assert_eq!(a.policy, b.policy);
-            assert_eq!(a.interactions, b.interactions);
-            assert_eq!(a.total_quantity, b.total_quantity);
-            assert_eq!(a.newborn_quantity, b.newborn_quantity);
-        }
-        // Invalid members abort the ensemble.
-        let bad = vec![PolicyConfig::Windowed { window: 0 }];
-        assert!(run_ensemble_sharded(&bad, n, &stream, 2).is_err());
     }
 
     /// `buffered_all` returns the same values as per-vertex `buffered`

@@ -1,12 +1,13 @@
-//! Streaming pipeline: validated ingestion, checkpoints, time travel.
+//! Streaming pipeline: validated ingestion, snapshots, time travel.
 //!
 //! This example shows the "operational" side of the library, beyond the raw
 //! trackers:
 //!
 //! 1. a raw edge list with string vertex names is loaded and interned,
-//! 2. a [`ProvenanceEngine`] ingests the stream with full validation, flow
-//!    accounting and periodic checkpoints,
-//! 3. the checkpointed snapshots are diffed and exported as TSV,
+//! 2. a [`ProvenanceEngine`] ingests the stream with full validation and
+//!    flow accounting,
+//! 3. provenance snapshots taken at two stream positions are diffed and
+//!    exported as TSV,
 //! 4. past states are queried exactly with the lazy / backtracing trackers.
 //!
 //! Run with: `cargo run --example streaming_pipeline`
@@ -42,15 +43,20 @@ fn main() {
     }
     println!();
 
-    // 2. Stream it through an engine with proportional provenance and a
-    //    checkpoint every 2 interactions.
+    // 2. Stream it through an engine with proportional provenance, taking a
+    //    provenance snapshot after the first 2 interactions and at the end.
     let mut engine =
         ProvenanceEngine::new(&PolicyConfig::Plain(SelectionPolicy::ProportionalSparse), n)
-            .expect("valid config")
-            .with_checkpoints(2)
-            .expect("positive interval");
-    let mut source = VecSource::new(named.interactions.clone());
+            .expect("valid config");
+    let (head, tail) = named.interactions.split_at(2);
+    engine.process_all(head).expect("stream is well formed");
+    let first = ProvenanceSnapshot::capture(engine.tracker(), head[1].time.value());
+    let mut source = VecSource::new(tail.to_vec());
     let report = engine.run(&mut source).expect("stream is well formed");
+    let last = ProvenanceSnapshot::capture(
+        engine.tracker(),
+        tail.last().expect("non-empty tail").time.value(),
+    );
 
     println!("Engine report for `{}`:", report.policy);
     println!("  interactions processed : {}", report.interactions);
@@ -61,31 +67,27 @@ fn main() {
         report.relayed_quantity,
         report.newborn_fraction() * 100.0
     );
-    println!("  checkpoints taken      : {}", report.checkpoints_taken);
     println!(
         "  provenance state       : {}",
         tin::core::memory::format_bytes(report.footprint.total())
     );
     println!();
 
-    // 3. Compare the first and last checkpoint and export the final snapshot.
-    let checkpoints = engine.checkpoints();
-    if let (Some(first), Some(last)) = (checkpoints.first(), checkpoints.last()) {
-        let diff = last.diff_from(first);
-        println!(
-            "Between t={} and t={} ({} interactions):",
-            first.time, last.time, diff.interactions
-        );
-        if let Some((vertex, delta)) = diff.fastest_accumulator() {
-            let name = named.interner.name_of(vertex).unwrap_or("?");
-            println!("  fastest accumulator: {name} (+{delta:.1} units)");
-        }
-        let mut tsv = Vec::new();
-        last.write_tsv(&mut tsv).expect("snapshot serialises");
-        println!("  final snapshot as TSV ({} bytes):", tsv.len());
-        for line in String::from_utf8(tsv).unwrap().lines().take(6) {
-            println!("    {line}");
-        }
+    // 3. Compare the two snapshots and export the final one.
+    let diff = last.diff_from(&first);
+    println!(
+        "Between t={} and t={} ({} interactions):",
+        first.time, last.time, diff.interactions
+    );
+    if let Some((vertex, delta)) = diff.fastest_accumulator() {
+        let name = named.interner.name_of(vertex).unwrap_or("?");
+        println!("  fastest accumulator: {name} (+{delta:.1} units)");
+    }
+    let mut tsv = Vec::new();
+    last.write_tsv(&mut tsv).expect("snapshot serialises");
+    println!("  final snapshot as TSV ({} bytes):", tsv.len());
+    for line in String::from_utf8(tsv).unwrap().lines().take(6) {
+        println!("    {line}");
     }
     println!();
 

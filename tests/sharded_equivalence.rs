@@ -244,6 +244,67 @@ fn sharded_observability_merges_worker_metrics_deterministically() {
         .any(|e| e.name == "wavefront_dispatch" && e.tid == 0));
 }
 
+/// Both engines describe every metric they share the same way — one kind
+/// and one unit per name — and count the same durable saves over the same
+/// stream.
+#[test]
+fn engines_agree_on_metric_units_and_checkpoint_counts() {
+    use std::collections::BTreeMap;
+    use tin_datasets::{DatasetKind, DatasetSpec, ScaleProfile};
+    use tin_obs::{MetricsSnapshot, Obs};
+    let spec = DatasetSpec::with_seed(DatasetKind::Bitcoin, ScaleProfile::Tiny, 7);
+    let n = spec.num_vertices();
+    let stream = tin_datasets::generate(&spec);
+    let config = PolicyConfig::Plain(SelectionPolicy::Fifo);
+    let dir = std::env::temp_dir().join(format!("tin_metric_units_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = |name: &str| CheckpointStore::open(dir.join(name)).unwrap();
+
+    let mut sequential = ProvenanceEngine::new(&config, n)
+        .unwrap()
+        .with_observability(Obs::new())
+        .with_durable_checkpoints(store("sequential"), 100)
+        .unwrap();
+    sequential.process_all(&stream).unwrap();
+    let mut sharded = ShardedEngine::new(&config, n, 2)
+        .unwrap()
+        .with_observability(Obs::new())
+        .unwrap()
+        .with_durable_checkpoints(store("sharded"), 100)
+        .unwrap();
+    sharded.process_all(&stream).unwrap();
+
+    let saves = sequential.report().checkpoints_taken;
+    assert_eq!(saves, stream.len() / 100);
+    assert_eq!(sharded.report().unwrap().checkpoints_taken, saves);
+
+    type Described = BTreeMap<&'static str, (&'static str, &'static str)>;
+    let describe = |snap: MetricsSnapshot| {
+        let mut kinds = Described::new();
+        kinds.extend(snap.counters.iter().map(|c| (c.name, ("counter", c.unit))));
+        kinds.extend(snap.gauges.iter().map(|g| (g.name, ("gauge", g.unit))));
+        kinds.extend(
+            snap.histograms
+                .iter()
+                .map(|h| (h.name, ("histogram", h.unit))),
+        );
+        kinds
+    };
+    let seq = describe(sequential.take_obs().unwrap().snapshot());
+    let shard = describe(sharded.take_obs().unwrap().unwrap().snapshot());
+    let shared: Vec<&str> = seq
+        .keys()
+        .copied()
+        .filter(|name| shard.contains_key(name))
+        .collect();
+    // The footprint gauge, the spike counter and the five checkpoint metrics.
+    assert_eq!(shared.len(), 7, "{shared:?}");
+    for name in shared {
+        assert_eq!(seq[name], shard[name], "{name}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -1,10 +1,9 @@
 //! Integration tests for the operational layer: the streaming engine,
-//! checkpointed snapshots, and the lazy / backtracing on-demand trackers.
+//! provenance snapshots, and the lazy / backtracing on-demand trackers.
 //! These all provide alternative routes to the same provenance answers, so
 //! the tests check them against each other and against the eager trackers.
 
 use tin::core::engine::{run_ensemble, ProvenanceEngine};
-use tin::core::snapshot::CheckpointedProvenance;
 use tin::prelude::*;
 
 fn workload() -> (usize, Vec<Interaction>) {
@@ -62,60 +61,6 @@ fn ensemble_reports_identical_flow_accounting() {
         assert!((report.total_quantity - reference.total_quantity).abs() < 1e-6);
         assert!((report.newborn_quantity - reference.newborn_quantity).abs() < 1e-6);
     }
-}
-
-/// An engine checkpoint taken after k interactions equals a fresh tracker fed
-/// exactly those k interactions.
-#[test]
-fn engine_checkpoints_match_prefix_replay() {
-    let (n, stream) = workload();
-    let interval = stream.len() / 4;
-    let config = PolicyConfig::Plain(SelectionPolicy::Fifo);
-    let mut engine = ProvenanceEngine::new(&config, n)
-        .unwrap()
-        .with_checkpoints(interval)
-        .unwrap();
-    engine.process_all(&stream).unwrap();
-    assert!(!engine.checkpoints().is_empty());
-
-    for snapshot in engine.checkpoints() {
-        let k = snapshot.interactions_processed;
-        let mut prefix = build_tracker(&config, n).unwrap();
-        prefix.process_all(&stream[..k]);
-        for i in 0..n {
-            let v = VertexId::from(i);
-            assert!(
-                snapshot.origins(v).approx_eq(&prefix.origins(v)),
-                "checkpoint after {k} interactions diverged at {v}"
-            );
-        }
-    }
-}
-
-/// The CheckpointedProvenance wrapper behaves identically to the tracker it
-/// wraps, and its snapshots round-trip through the TSV persistence format.
-#[test]
-fn checkpointed_wrapper_and_tsv_roundtrip() {
-    let (n, stream) = workload();
-    let config = PolicyConfig::Plain(SelectionPolicy::ProportionalSparse);
-    let mut plain = build_tracker(&config, n).unwrap();
-    plain.process_all(&stream);
-
-    let inner = build_tracker(&config, n).unwrap();
-    let mut wrapped = CheckpointedProvenance::new(inner, stream.len() / 3).unwrap();
-    wrapped.process_all(&stream);
-    for i in 0..n {
-        let v = VertexId::from(i);
-        assert!(wrapped.origins(v).approx_eq(&plain.origins(v)));
-    }
-    assert!(wrapped.checkpoints().len() >= 2);
-
-    let last = wrapped.checkpoints().last().unwrap();
-    let mut buf = Vec::new();
-    last.write_tsv(&mut buf).unwrap();
-    let parsed = ProvenanceSnapshot::read_tsv(buf.as_slice()).unwrap();
-    assert!(parsed.approx_eq(last));
-    assert_eq!(parsed.interactions_processed, last.interactions_processed);
 }
 
 /// Lazy replay, backtracing replay and the eager tracker agree at arbitrary
