@@ -14,7 +14,7 @@ use tin_core::graph::Tin;
 use tin_core::ids::VertexId;
 
 /// A vertex-to-group assignment usable by
-/// [`tin_core::tracker::grouped::GroupedTracker`].
+/// [`tin_core::tracker::proportional_dense::ProportionalDenseTracker::grouped`].
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Grouping {
     /// Number of groups m.

@@ -5,8 +5,8 @@
 //! provenance lists (more memory), which is the trade-off the figure shows
 //! for Bitcoin, CTU and Prosper Loans. In addition to the paper's
 //! count-based window, each sweep also measures the time-based window
-//! extension (`TimeWindowedTracker`) at the equivalent duration, so the two
-//! reset triggers can be compared directly.
+//! extension (`WindowedTracker::time_based`) at the equivalent duration, so
+//! the two reset triggers can be compared directly.
 
 use tin_analytics::report::{format_bytes, format_secs, TextTable};
 use tin_bench::{run_tracker, scale_from_env, Workload};

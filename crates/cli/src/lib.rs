@@ -622,13 +622,24 @@ fn render_telemetry_report(path: &str) -> Result<String, CliError> {
     let mut imbalance: Vec<(u64, u64, String, u64)> = Vec::new();
     let mut last: Option<Value> = None;
     let mut records = 0u64;
+    // A crash mid-write leaves a final record without its newline; only
+    // that line may fail to parse.
+    let cut_line = (!text.ends_with('\n')).then(|| text.lines().count());
+    let mut truncated = None;
 
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let v = Value::parse(line).map_err(|e| bad(lineno, &e))?;
+        let v = match Value::parse(line) {
+            Ok(v) => v,
+            Err(_) if cut_line == Some(lineno) => {
+                truncated = Some(lineno);
+                continue;
+            }
+            Err(e) => return Err(bad(lineno, &e)),
+        };
         let full = match v.get("kind").and_then(Value::as_str) {
             Some("full") => true,
             Some("delta") => false,
@@ -709,6 +720,13 @@ fn render_telemetry_report(path: &str) -> Result<String, CliError> {
         last.get("source").and_then(Value::as_str).unwrap_or("?")
     )
     .unwrap();
+    if let Some(lineno) = truncated {
+        writeln!(
+            out,
+            "truncated record: line {lineno} has no trailing newline and does not parse; ignored"
+        )
+        .unwrap();
+    }
     if let Some(t) = last.get("trace").filter(|t| !matches!(t, Value::Null)) {
         writeln!(
             out,
@@ -1875,6 +1893,48 @@ mod tests {
             }),
             Err(CliError::Tin(TinError::Io(_)))
         ));
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A stream cut mid-record, as a crash mid-write leaves it, still
+    /// renders its complete records and says what it ignored; a malformed
+    /// line that ends in a newline stays an error.
+    #[test]
+    fn report_ignores_a_truncated_final_record() {
+        let path = write_trace("telemetry_cut");
+        let jsonl_path = temp_path("telemetry_cut.jsonl");
+        let jsonl = jsonl_path.to_string_lossy().into_owned();
+        let command = parse_args(&args(&[
+            "run",
+            &path.to_string_lossy(),
+            "--policy",
+            "prop_sparse",
+            "--telemetry-out",
+            &jsonl,
+            "--telemetry-every",
+            "1",
+        ]))
+        .unwrap();
+        run(&command).unwrap();
+        let text = std::fs::read_to_string(&jsonl_path).unwrap();
+        let report = |bytes: &str| {
+            std::fs::write(&jsonl_path, bytes).unwrap();
+            run(&Command::Report {
+                path: jsonl.clone(),
+            })
+        };
+        let lines = text.lines().count();
+        let cut = text.len() - 37;
+        let rendered = report(&text[..cut]).unwrap();
+        let kept = format!("records         : {} (last: seq {}", lines - 1, lines - 2);
+        let note = format!("truncated record: line {lines} has no trailing newline");
+        for line in [&kept, &note, "tracker_latency_ns"] {
+            assert!(rendered.contains(line), "{rendered}");
+        }
+        assert!(!report(&text).unwrap().contains("truncated record"));
+        let malformed = format!("{}\n{}", &text[..cut], &text[cut..]);
+        assert!(matches!(report(&malformed), Err(CliError::Usage(_))));
+        std::fs::remove_file(&jsonl_path).ok();
         std::fs::remove_file(path).ok();
     }
 

@@ -34,10 +34,11 @@
 //! * [`dense_vec`], [`sparse_vec`], [`simd`] — provenance vectors for
 //!   proportional selection (fixed dense with SIMD kernels, and
 //!   zero-allocation sparse lists).
-//! * [`tracker`] — one tracker per selection policy (Sections 4–6):
-//!   `NoProv`, least/most-recently-born, FIFO/LIFO, proportional
-//!   (dense/sparse), selective, grouped, windowed, budget-based, and path
-//!   tracking.
+//! * [`tracker`] — one tracker per selection policy and representation
+//!   (Sections 4–6): `NoProv`, least/most-recently-born, FIFO/LIFO,
+//!   proportional with dense rows (over all vertices, a selective subset
+//!   or groups) or sparse lists, windowed (by interactions or time),
+//!   budget-based, and path tracking.
 //! * [`origins`] — provenance query results `O(t, B_v)`.
 //! * [`policy`] — declarative tracker configuration and the factory
 //!   [`tracker::build_tracker`].
@@ -93,7 +94,6 @@ pub mod prelude {
     pub use crate::tracker::budget::BudgetTracker;
     pub use crate::tracker::diffusion::DiffusionTracker;
     pub use crate::tracker::generation_time::GenerationTimeTracker;
-    pub use crate::tracker::grouped::GroupedTracker;
     pub use crate::tracker::lazy::LazyReplayProvenance;
     pub use crate::tracker::no_prov::NoProvTracker;
     pub use crate::tracker::path::PathTracker;
@@ -101,9 +101,7 @@ pub mod prelude {
     pub use crate::tracker::proportional_dense::ProportionalDenseTracker;
     pub use crate::tracker::proportional_sparse::ProportionalSparseTracker;
     pub use crate::tracker::receipt_order::ReceiptOrderTracker;
-    pub use crate::tracker::selective::SelectiveTracker;
     pub use crate::tracker::windowed::WindowedTracker;
-    pub use crate::tracker::windowed_time::TimeWindowedTracker;
     pub use crate::tracker::{build_tracker, ProvenanceTracker};
     pub use crate::{Result, TinError};
 }

@@ -952,10 +952,10 @@ impl SparseProvenance {
     }
 
     /// Append the per-vertex checkpoint encoding of the list-based
-    /// proportional trackers (sparse, windowed, time-windowed, budget): a
-    /// representation tag `0`, then [`Self::encode_into`]. The tag keeps the
-    /// on-disk format of the retired runtime-adaptive vectors, whose dense
-    /// form was tag `1`.
+    /// proportional trackers (sparse, windowed by interactions or time,
+    /// budget): a representation tag `0`, then [`Self::encode_into`]. The
+    /// tag keeps the on-disk format of the retired runtime-adaptive vectors,
+    /// whose dense form was tag `1`.
     pub fn encode_tagged_into(&self, out: &mut Vec<u8>) {
         crate::codec::put_u8(out, SPARSE_REPR_TAG);
         self.encode_into(out);

@@ -16,9 +16,11 @@ use crate::interaction::Interaction;
 use crate::memory::{total_footprint, FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::policy::ShrinkCriterion;
-use crate::quantity::{qty_clamp_non_negative, qty_ge, qty_is_zero, Quantity};
+use crate::quantity::{qty_is_zero, Quantity};
 use crate::sparse_vec::{MergeScratch, SparseProvenance};
-use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{
+    move_totals, relay_sparse, replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker,
+};
 
 /// Per-vertex state moved by the shard protocol: the provenance list, the
 /// scalar total, and the vertex's shrink counter.
@@ -215,24 +217,9 @@ impl ProvenanceTracker for BudgetTracker {
         debug_assert_ne!(s, d, "self-loops are rejected at stream validation");
         let before = self.vectors[s].footprint_bytes() + self.vectors[d].footprint_bytes();
 
-        {
-            let (src_vec, dst_vec) = split_src_dst(&mut self.vectors, s, d);
-            let src_total = self.totals[s];
-            if qty_ge(r.qty, src_total) {
-                dst_vec.take_all_from(src_vec);
-                let newborn = qty_clamp_non_negative(r.qty - src_total);
-                if newborn > 0.0 {
-                    dst_vec.add_vertex(r.src, newborn);
-                }
-                self.totals[d] += r.qty;
-                self.totals[s] = 0.0;
-            } else {
-                let factor = r.qty / src_total;
-                dst_vec.transfer_from(src_vec, factor);
-                self.totals[d] += r.qty;
-                self.totals[s] = qty_clamp_non_negative(src_total - r.qty);
-            }
-        }
+        let (src_vec, dst_vec) = split_src_dst(&mut self.vectors, s, d);
+        let src_left = relay_sparse(src_vec, dst_vec, r, self.totals[s]);
+        move_totals(&mut self.totals, r, src_left);
         // Only the destination list can have grown beyond the budget.
         self.enforce_budget(d);
         self.entries_bytes = self.entries_bytes - before
@@ -295,7 +282,7 @@ impl MigratableTracker for BudgetTracker {
         crate::codec::put_u32(out, taken.shrinks);
     }
 
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> Result<TakenState> {
         Ok(TakenState {
             vec: SparseProvenance::decode_tagged_from(r)?,
             total: r.f64()?,

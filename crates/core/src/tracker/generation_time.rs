@@ -178,7 +178,7 @@ impl MigratableTracker for GenerationTimeTracker {
         taken.buf.encode_into(out);
     }
 
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> crate::Result<TakenState> {
         Ok(TakenState {
             buf: HeapBuffer::decode_from(r)?,
         })

@@ -1,20 +1,26 @@
-//! Provenance trackers: one streaming state machine per selection policy.
+//! Provenance trackers: one streaming state machine per selection policy
+//! and provenance representation.
 //!
 //! Every tracker consumes interactions in time order and can answer, at any
 //! moment, the provenance question of Definition 2: *which origins make up
 //! the quantity buffered at vertex v right now?*
+//!
+//! Proportional selection (Algorithm 3) has one relay per representation:
+//! dense rows in [`proportional_dense`], whose origin space is every vertex,
+//! a tracked subset or vertex groups, and sparse lists in `relay_sparse`,
+//! shared by the sparse, windowed and budget trackers.
 //!
 //! | Tracker | Paper | Complexity (space / per-interaction time) |
 //! |---------|-------|--------------------------------------------|
 //! | [`no_prov::NoProvTracker`] | Alg. 1 | O(\|V\|) / O(1) |
 //! | [`generation_time::GenerationTimeTracker`] | §4.1, Alg. 2 | O(\|R\|) / O((\|R\|/\|V\|)·log(\|R\|/\|V\|)) expected |
 //! | [`receipt_order::ReceiptOrderTracker`] | §4.2 | O(\|R\|) / O(\|R\|/\|V\|) expected |
-//! | [`proportional_dense::ProportionalDenseTracker`] | §4.3, Alg. 3 | O(\|V\|²) / O(\|V\|) |
+//! | [`proportional_dense::ProportionalDenseTracker::new`] | §4.3, Alg. 3 | O(\|V\|²) / O(\|V\|) |
 //! | [`proportional_sparse::ProportionalSparseTracker`] | §4.3 | O(\|V\|·ℓ) / O(ℓ) |
-//! | [`selective::SelectiveTracker`] | §5.1 | O(k·\|V\|) / O(k) |
-//! | [`grouped::GroupedTracker`] | §5.2 | O(m·\|V\|) / O(m) |
-//! | [`windowed::WindowedTracker`] | §5.3.1 | bounded by window W |
-//! | [`windowed_time::TimeWindowedTracker`] | §5.3.1 (time-based variant) | bounded by window duration D |
+//! | [`proportional_dense::ProportionalDenseTracker::selective`] | §5.1 | O(k·\|V\|) / O(k) |
+//! | [`proportional_dense::ProportionalDenseTracker::grouped`] | §5.2 | O(m·\|V\|) / O(m) |
+//! | [`windowed::WindowedTracker::new`] | §5.3.1 | bounded by window W |
+//! | [`windowed::WindowedTracker::time_based`] | §5.3.1 (time-based variant) | bounded by window duration D |
 //! | [`budget::BudgetTracker`] | §5.3.2 | O(C·\|V\|) / O(C) |
 //! | [`path::PathTracker`] | §6 | O(\|R\|²/\|V\|) space |
 //! | [`path_generation::GenerationPathTracker`] | §6 on top of §4.1 | O(\|R\|²/\|V\|) space |
@@ -26,7 +32,6 @@ pub mod backtrace;
 pub mod budget;
 pub mod diffusion;
 pub mod generation_time;
-pub mod grouped;
 pub mod lazy;
 pub mod no_prov;
 pub mod path;
@@ -34,9 +39,7 @@ pub mod path_generation;
 pub mod proportional_dense;
 pub mod proportional_sparse;
 pub mod receipt_order;
-pub mod selective;
 pub mod windowed;
-pub mod windowed_time;
 
 use crate::error::Result;
 use crate::ids::VertexId;
@@ -44,7 +47,8 @@ use crate::interaction::Interaction;
 use crate::memory::{FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
 use crate::policy::{PolicyConfig, SelectionPolicy};
-use crate::quantity::{qty_approx_eq, Quantity};
+use crate::quantity::{qty_approx_eq, qty_clamp_non_negative, qty_ge, Quantity};
+use crate::sparse_vec::SparseProvenance;
 use crate::stream::InteractionSource;
 
 /// The per-vertex provenance state of one vertex, moved out of a tracker for
@@ -158,8 +162,10 @@ pub trait MigratableTracker {
     /// via [`Self::install`] behaves bit-identically to the original.
     fn encode_taken(taken: &Self::Taken, out: &mut Vec<u8>);
 
-    /// Decode a payload written by [`Self::encode_taken`].
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> Result<Self::Taken>;
+    /// Decode a payload written by [`Self::encode_taken`] for this tracker's
+    /// configuration. A payload that decodes but does not fit the tracker's
+    /// shape is a corrupt checkpoint, refused here rather than installed.
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> Result<Self::Taken>;
 }
 
 /// Shared take-side of the shard migration protocol: extract the payload
@@ -201,7 +207,7 @@ pub fn shared_restore<T: MigratableTracker>(
     v: VertexId,
     r: &mut crate::codec::ByteReader<'_>,
 ) -> Result<()> {
-    let taken = T::decode_taken(r)?;
+    let taken = tracker.decode_taken(r)?;
     tracker.install(v, taken);
     Ok(())
 }
@@ -211,9 +217,10 @@ pub fn shared_restore<T: MigratableTracker>(
 /// sharded engine's main thread uses a probe tracker of the right
 /// configuration to decode states it then routes to the owning shard.
 pub fn shared_decode_state<T: MigratableTracker>(
+    tracker: &T,
     r: &mut crate::codec::ByteReader<'_>,
 ) -> Result<ShardVertexState> {
-    Ok(ShardVertexState::new(T::decode_taken(r)?))
+    Ok(ShardVertexState::new(tracker.decode_taken(r)?))
 }
 
 /// Shared implementation behind `ProvenanceTracker::arm_spike_monitor`.
@@ -284,7 +291,7 @@ macro_rules! impl_migration_hooks {
             &self,
             r: &mut $crate::codec::ByteReader<'_>,
         ) -> $crate::error::Result<$crate::tracker::ShardVertexState> {
-            $crate::tracker::shared_decode_state::<Self>(r)
+            $crate::tracker::shared_decode_state(self, r)
         }
     };
 }
@@ -323,6 +330,41 @@ pub(crate) fn split_src_dst<T>(items: &mut [T], src: usize, dst: usize) -> (&mut
         let (a, b) = items.split_at_mut(src);
         (&mut b[0], &mut a[dst])
     }
+}
+
+/// Algorithm 3's relay step on sparse lists (Section 4.3): when
+/// `r.q ≥ |B_{r.s}|` the whole source list moves to the destination, plus
+/// the newborn quantity `r.q − |B_{r.s}|` at `r.s`; otherwise the fraction
+/// `r.q / |B_{r.s}|` of every entry moves. `src_total` is `|B_{r.s}|` before
+/// the interaction, and the result is `|B_{r.s}|` after it, for
+/// [`move_totals`]. Always inlined: it is the per-interaction kernel of
+/// `prop_sparse`, whose `process` must not pay a call for it.
+#[inline(always)]
+pub(crate) fn relay_sparse(
+    src: &mut SparseProvenance,
+    dst: &mut SparseProvenance,
+    r: &Interaction,
+    src_total: Quantity,
+) -> Quantity {
+    if qty_ge(r.qty, src_total) {
+        dst.take_all_from(src);
+        let newborn = qty_clamp_non_negative(r.qty - src_total);
+        if newborn > 0.0 {
+            dst.add_vertex(r.src, newborn);
+        }
+        0.0
+    } else {
+        dst.transfer_from(src, r.qty / src_total);
+        qty_clamp_non_negative(src_total - r.qty)
+    }
+}
+
+/// Algorithm 1's buffer update: `|B_{r.s}|` becomes `src_left`, the
+/// quantity a relay left at the source, and `r.q` arrives at `r.d`.
+#[inline]
+pub(crate) fn move_totals(totals: &mut [Quantity], r: &Interaction, src_left: Quantity) {
+    totals[r.src.index()] = src_left;
+    totals[r.dst.index()] += r.qty;
 }
 
 /// The uniform streaming interface implemented by every provenance tracker.
@@ -513,7 +555,6 @@ pub fn build_tracker(
     config: &PolicyConfig,
     num_vertices: usize,
 ) -> Result<Box<dyn ProvenanceTracker>> {
-    use crate::error::TinError;
     Ok(match config {
         PolicyConfig::Plain(policy) => match policy {
             SelectionPolicy::NoProvenance => Box::new(no_prov::NoProvTracker::new(num_vertices)),
@@ -536,21 +577,13 @@ pub fn build_tracker(
                 proportional_sparse::ProportionalSparseTracker::new(num_vertices),
             ),
         },
-        PolicyConfig::Selective { tracked } => {
-            if tracked.is_empty() {
-                return Err(TinError::InvalidConfig(
-                    "selective tracking needs at least one tracked vertex".into(),
-                ));
-            }
-            Box::new(selective::SelectiveTracker::new(
-                num_vertices,
-                tracked.clone(),
-            )?)
-        }
+        PolicyConfig::Selective { tracked } => Box::new(
+            proportional_dense::ProportionalDenseTracker::selective(num_vertices, tracked.clone())?,
+        ),
         PolicyConfig::Grouped {
             num_groups,
             group_of,
-        } => Box::new(grouped::GroupedTracker::new(
+        } => Box::new(proportional_dense::ProportionalDenseTracker::grouped(
             num_vertices,
             *num_groups,
             group_of.clone(),
@@ -558,9 +591,10 @@ pub fn build_tracker(
         PolicyConfig::Windowed { window } => {
             Box::new(windowed::WindowedTracker::new(num_vertices, *window)?)
         }
-        PolicyConfig::TimeWindowed { duration } => Box::new(
-            windowed_time::TimeWindowedTracker::new(num_vertices, *duration)?,
-        ),
+        PolicyConfig::TimeWindowed { duration } => Box::new(windowed::WindowedTracker::time_based(
+            num_vertices,
+            *duration,
+        )?),
         PolicyConfig::Budgeted {
             capacity,
             keep_fraction,

@@ -140,7 +140,7 @@ impl MigratableTracker for NoProvTracker {
         crate::codec::put_f64(out, taken.generated);
     }
 
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> crate::Result<TakenState> {
         Ok(TakenState {
             buffered: r.f64()?,
             generated: r.f64()?,

@@ -372,7 +372,7 @@ impl MigratableTracker for PathTracker {
         taken.buf.encode_into(out);
     }
 
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> crate::Result<TakenState> {
         let buf = PathBuffer::decode_from(r)?;
         Ok(TakenState {
             paths_bytes: buf.paths_bytes(),

@@ -471,7 +471,7 @@ impl MigratableTracker for GenerationPathTracker {
         taken.buf.encode_into(out);
     }
 
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> crate::Result<TakenState> {
         let buf = PathHeapBuffer::decode_from(r)?;
         Ok(TakenState {
             paths_bytes: buf.paths_bytes(),

@@ -16,9 +16,11 @@ use crate::ids::VertexId;
 use crate::interaction::Interaction;
 use crate::memory::{total_footprint, FootprintBreakdown, MemoryFootprint, SpikeMonitor};
 use crate::origins::OriginSet;
-use crate::quantity::{qty_clamp_non_negative, qty_ge, Quantity};
+use crate::quantity::Quantity;
 use crate::sparse_vec::SparseProvenance;
-use crate::tracker::{replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker};
+use crate::tracker::{
+    move_totals, relay_sparse, replace_counted, split_src_dst, MigratableTracker, ProvenanceTracker,
+};
 
 /// Per-vertex state moved by the shard protocol: the provenance list (its
 /// packed SoA buffers move wholesale) plus the scalar total.
@@ -94,26 +96,10 @@ impl ProvenanceTracker for ProportionalSparseTracker {
         let d = r.dst.index();
         let (src_vec, dst_vec) = split_src_dst(&mut self.vectors, s, d);
         let before = src_vec.footprint_bytes() + dst_vec.footprint_bytes();
-
-        let src_total = self.totals[s];
-        if qty_ge(r.qty, src_total) {
-            // Full relay plus newborn residue.
-            dst_vec.take_all_from(src_vec);
-            let newborn = qty_clamp_non_negative(r.qty - src_total);
-            if newborn > 0.0 {
-                dst_vec.add_vertex(r.src, newborn);
-            }
-            self.totals[d] += r.qty;
-            self.totals[s] = 0.0;
-        } else {
-            // Proportional split via list merges.
-            let factor = r.qty / src_total;
-            dst_vec.transfer_from(src_vec, factor);
-            self.totals[d] += r.qty;
-            self.totals[s] = qty_clamp_non_negative(src_total - r.qty);
-        }
+        let src_left = relay_sparse(src_vec, dst_vec, r, self.totals[s]);
         self.entries_bytes =
             self.entries_bytes - before + src_vec.footprint_bytes() + dst_vec.footprint_bytes();
+        move_totals(&mut self.totals, r, src_left);
         self.processed += 1;
     }
 
@@ -170,7 +156,7 @@ impl MigratableTracker for ProportionalSparseTracker {
         crate::codec::put_f64(out, taken.total);
     }
 
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> crate::Result<TakenState> {
         Ok(TakenState {
             vec: SparseProvenance::decode_tagged_from(r)?,
             total: r.f64()?,

@@ -162,7 +162,7 @@ impl MigratableTracker for ReceiptOrderTracker {
         taken.buf.encode_into(out);
     }
 
-    fn decode_taken(r: &mut crate::codec::ByteReader<'_>) -> crate::error::Result<TakenState> {
+    fn decode_taken(&self, r: &mut crate::codec::ByteReader<'_>) -> crate::Result<TakenState> {
         Ok(TakenState {
             buf: QueueBuffer::decode_from(r)?,
         })

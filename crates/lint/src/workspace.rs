@@ -137,7 +137,7 @@ mod unit {
             ]
         );
         assert_eq!(
-            applicable_lints("crates/core/src/tracker/grouped.rs"),
+            applicable_lints("crates/core/src/tracker/proportional_dense.rs"),
             vec![
                 "determinism",
                 "tracker-conformance",

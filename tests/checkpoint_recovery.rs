@@ -219,12 +219,50 @@ const GOLDEN_BUDGET: &str = concat!(
     "000000001c4000000000",
 );
 
-/// Golden `Checkpoint::encode()` bytes for the list-based proportional
-/// trackers: the paper's running example on 3 vertices, captured by the
-/// sequential engine after [`GOLDEN_PREFIX`] of its 6 interactions. They
-/// pin the on-disk format, including the representation tag `0` written
-/// before every provenance list.
-fn golden_cases() -> [(PolicyConfig, &'static str); 4] {
+/// `prop_dense`: 251 bytes.
+const GOLDEN_PROP_DENSE: &str = concat!(
+    "54494e434b505400010000000a000000da2a9227000503000000000000002900",
+    "0000b53265cb0400000000000000010000000000001440000000000000324000",
+    "000000000022400000000000000000a400000082e7c220030000000000000000",
+    "0000002800000000000000030000000000000000000000000000003433333333",
+    "33f33f9a9999999999e93f000000000000004001000000280000000000000003",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000002000000280000000000000003000000000000000000000000",
+    "0000003333333333331740333333333333f33f0000000000001c40",
+);
+
+/// `selective_k2` tracking vertices 0 and 2: 266 bytes.
+const GOLDEN_SELECTIVE: &str = concat!(
+    "54494e434b5054000100000019000000f2cbcbf7010200000000000000000000",
+    "0002000000030000000000000029000000b53265cb0400000000000000010000",
+    "000000001440000000000000324000000000000022400000000000000000a400",
+    "00000429b6970300000000000000000000002800000000000000030000000000",
+    "000000000000000000009a9999999999e93f343333333333f33f000000000000",
+    "0040010000002800000000000000030000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000002000000280000000000",
+    "000003000000000000000000000000000000333333333333f33f333333333333",
+    "17400000000000001c40",
+);
+
+/// `grouped_m2` with groups {0, 1, 0}: 254 bytes.
+const GOLDEN_GROUPED: &str = concat!(
+    "54494e434b50540001000000250000002569e92d020200000000000000030000",
+    "0000000000000000000100000000000000030000000000000029000000b53265",
+    "cb04000000000000000100000000000014400000000000003240000000000000",
+    "224000000000000000008c0000001f5b35440300000000000000000000002000",
+    "00000000000002000000000000009a9999999999e93f343333333333f33f0000",
+    "0000000000400100000020000000000000000200000000000000000000000000",
+    "0000000000000000000000000000000000000200000020000000000000000200",
+    "000000000000333333333333f33f33333333333317400000000000001c40",
+);
+
+/// Golden `Checkpoint::encode()` bytes for the proportional trackers: the
+/// paper's running example on 3 vertices, captured by the sequential engine
+/// after [`GOLDEN_PREFIX`] of its 6 interactions. They pin the on-disk
+/// format: the representation tag `0` written before every provenance list,
+/// and the dense rows (slot count, one `f64` per slot, then the total) of
+/// the full, selective and grouped trackers.
+fn golden_cases() -> [(PolicyConfig, &'static str); 7] {
     [
         (
             PolicyConfig::Plain(SelectionPolicy::ProportionalSparse),
@@ -236,6 +274,23 @@ fn golden_cases() -> [(PolicyConfig, &'static str); 4] {
             GOLDEN_TIME_WINDOWED,
         ),
         (PolicyConfig::budget(2), GOLDEN_BUDGET),
+        (
+            PolicyConfig::Plain(SelectionPolicy::ProportionalDense),
+            GOLDEN_PROP_DENSE,
+        ),
+        (
+            PolicyConfig::Selective {
+                tracked: vec![VertexId::new(0), VertexId::new(2)],
+            },
+            GOLDEN_SELECTIVE,
+        ),
+        (
+            PolicyConfig::Grouped {
+                num_groups: 2,
+                group_of: vec![0, 1, 0],
+            },
+            GOLDEN_GROUPED,
+        ),
     ]
 }
 
@@ -311,6 +366,40 @@ fn retired_dense_vector_tag_is_corrupt() {
         ShardedEngine::resume_from(&ckpt, 2),
         Err(TinError::CorruptCheckpoint { .. })
     ));
+}
+
+/// A dense row whose width is not the tracker's slot count is corrupt, not
+/// restored: its section CRC is valid, but installing it would panic at the
+/// next interaction.
+#[test]
+fn dense_rows_of_the_wrong_width_are_corrupt() {
+    // The last three golden cases are the dense configurations.
+    for (config, hex) in &golden_cases()[4..] {
+        let mut ckpt = Checkpoint::decode(&from_hex(hex), "").unwrap();
+        for (_, payload) in &mut ckpt.states {
+            payload.clear();
+            tin_core::codec::put_usize(payload, 1);
+            tin_core::codec::put_f64(payload, 2.0);
+            tin_core::codec::put_f64(payload, 2.0);
+        }
+        let ckpt = Checkpoint::decode(&ckpt.encode().unwrap(), "").unwrap();
+        assert!(
+            matches!(
+                ProvenanceEngine::resume_from(&ckpt),
+                Err(TinError::CorruptCheckpoint { .. })
+            ),
+            "{}",
+            config.key()
+        );
+        assert!(
+            matches!(
+                ShardedEngine::resume_from(&ckpt, 2),
+                Err(TinError::CorruptCheckpoint { .. })
+            ),
+            "{}",
+            config.key()
+        );
+    }
 }
 
 /// A policy section carrying the retired adaptive-proportional tag `5`

@@ -66,7 +66,7 @@ fn selective_tracking_is_consistent_with_exact() {
     let mut baseline = NoProvTracker::new(n);
     baseline.process_all(&rs);
     let tracked = baseline.top_k_generators(5);
-    let mut selective = SelectiveTracker::new(n, tracked.clone()).unwrap();
+    let mut selective = ProportionalDenseTracker::selective(n, tracked.clone()).unwrap();
     selective.process_all(&rs);
 
     for i in 0..n {

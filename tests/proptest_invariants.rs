@@ -143,7 +143,7 @@ proptest! {
     ) {
         let n = MAX_VERTICES as usize;
         let tracked: Vec<VertexId> = (0..k as u32).map(VertexId::new).collect();
-        let mut selective = SelectiveTracker::new(n, tracked.clone()).unwrap();
+        let mut selective = ProportionalDenseTracker::selective(n, tracked.clone()).unwrap();
         let mut exact = ProportionalDenseTracker::new(n);
         selective.process_all(&stream);
         exact.process_all(&stream);
@@ -171,7 +171,7 @@ proptest! {
         let n = MAX_VERTICES as usize;
         let mut exact = ProportionalSparseTracker::new(n);
         let mut windowed = WindowedTracker::new(n, window).unwrap();
-        let mut time_windowed = TimeWindowedTracker::new(n, duration).unwrap();
+        let mut time_windowed = WindowedTracker::time_based(n, duration).unwrap();
         let mut budget = BudgetTracker::new(n, capacity, 0.7).unwrap();
         exact.process_all(&stream);
         windowed.process_all(&stream);
