@@ -34,7 +34,7 @@ use tin_analytics::alerts::{AlertConfig, AlertEngine};
 use tin_analytics::distribution::ProvenanceDistribution;
 use tin_analytics::mining::{cluster_by_provenance, most_similar_pairs};
 use tin_chaos::ChaosPlan;
-use tin_core::checkpoint::CheckpointStore;
+use tin_core::checkpoint::{Checkpoint, CheckpointStore};
 use tin_core::error::TinError;
 use tin_core::memory::format_bytes;
 use tin_core::policy::{PolicyConfig, SelectionPolicy};
@@ -528,6 +528,68 @@ impl From<String> for CliError {
     }
 }
 
+/// Start a `run`'s engine: fresh from `new`, or, with `--resume`, from the
+/// newest checkpoint retained under `resume_dir` that decodes and that
+/// `resume_from` accepts. A file the engine refuses as corrupt is skipped
+/// like one that fails to decode (see [`CheckpointStore::resume_latest`]);
+/// an empty directory starts fresh. A checkpoint taken under another
+/// policy, over another vertex count, or ahead of the trace is a usage
+/// error: it points to the wrong directory or trace, not to a damaged file.
+/// Returns the engine and the number of interactions its state covers.
+fn start_engine<E>(
+    resume_dir: Option<&str>,
+    config: &PolicyConfig,
+    named: &NamedTin,
+    resume_from: impl Fn(&Checkpoint) -> tin_core::error::Result<E>,
+    new: impl FnOnce() -> tin_core::error::Result<E>,
+) -> Result<(E, usize), CliError> {
+    let Some(dir) = resume_dir else {
+        return Ok((new()?, 0));
+    };
+    let found = CheckpointStore::open(dir)?.resume_latest(|checkpoint| {
+        // The engine's refusal is an `Err` here, for the search to skip; a
+        // mismatch is an accepted outcome that ends the search.
+        Ok(match resume_mismatch(&checkpoint, config, named) {
+            Some(message) => Err(CliError::Usage(message)),
+            None => Ok((resume_from(&checkpoint)?, checkpoint.cursor.processed)),
+        })
+    })?;
+    match found {
+        Some((_, started)) => started,
+        None => Ok((new()?, 0)),
+    }
+}
+
+/// Why `checkpoint` cannot resume a run of `config` over `named`, if it
+/// cannot.
+fn resume_mismatch(
+    checkpoint: &Checkpoint,
+    config: &PolicyConfig,
+    named: &NamedTin,
+) -> Option<String> {
+    if checkpoint.policy != *config {
+        Some(format!(
+            "run: checkpoint was taken under policy {:?} but --policy asks for {:?}",
+            checkpoint.policy.key(),
+            config.key()
+        ))
+    } else if checkpoint.num_vertices != named.num_vertices() {
+        Some(format!(
+            "run: checkpoint covers {} vertices but the trace has {}",
+            checkpoint.num_vertices,
+            named.num_vertices()
+        ))
+    } else if checkpoint.cursor.processed > named.interactions.len() {
+        Some(format!(
+            "run: checkpoint is ahead of the trace ({} > {} interactions)",
+            checkpoint.cursor.processed,
+            named.interactions.len()
+        ))
+    } else {
+        None
+    }
+}
+
 fn load(path: &str) -> Result<NamedTin, CliError> {
     Ok(read_named_edge_list_file(path)?)
 }
@@ -855,49 +917,24 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                 .map(ChaosPlan::parse)
                 .transpose()
                 .map_err(|e| CliError::Usage(format!("run: {e}")))?;
-            // Recovery: locate the newest valid checkpoint before building
-            // any engine, and refuse checkpoints that disagree with the
-            // requested run (wrong policy or a different trace).
-            let resumed = if *resume {
-                let dir = checkpoint_dir.as_deref().ok_or_else(|| {
+            // Recovery: each engine below starts from the newest retained
+            // checkpoint it accepts (see `start_engine`).
+            let resume_dir = if *resume {
+                Some(checkpoint_dir.as_deref().ok_or_else(|| {
                     CliError::Usage("run: --resume requires --checkpoint-dir DIR".into())
-                })?;
-                let store = CheckpointStore::open(dir)?;
-                let loaded = store.load_latest_valid()?;
-                if let Some((_, checkpoint)) = &loaded {
-                    if checkpoint.policy != config {
-                        return Err(CliError::Usage(format!(
-                            "run: checkpoint was taken under policy {:?} but --policy asks for {:?}",
-                            checkpoint.policy.key(),
-                            config.key()
-                        )));
-                    }
-                    if checkpoint.num_vertices != n {
-                        return Err(CliError::Usage(format!(
-                            "run: checkpoint covers {} vertices but the trace has {n}",
-                            checkpoint.num_vertices
-                        )));
-                    }
-                    if checkpoint.cursor.processed > named.interactions.len() {
-                        return Err(CliError::Usage(format!(
-                            "run: checkpoint is ahead of the trace ({} > {} interactions)",
-                            checkpoint.cursor.processed,
-                            named.interactions.len()
-                        )));
-                    }
-                }
-                loaded.map(|(_, checkpoint)| checkpoint)
+                })?)
             } else {
                 None
             };
             // A resumed run replays only the tail; `--crash-at K` truncates
             // the stream at interaction K (counted from the trace start) and
             // exits with an error afterwards, like a process crash would.
-            let skip = resumed.as_ref().map_or(0, |c| c.cursor.processed);
-            let end = crash_at.map_or(named.interactions.len(), |k| {
-                k.clamp(skip, named.interactions.len())
-            });
-            let stream = &named.interactions[skip..end];
+            let tail = |skip: usize| {
+                let end = crash_at.map_or(named.interactions.len(), |k| {
+                    k.clamp(skip, named.interactions.len())
+                });
+                &named.interactions[skip..end]
+            };
             let durable_store =
                 |dir: &Option<String>| -> Result<Option<CheckpointStore>, CliError> {
                     Ok(match dir {
@@ -964,12 +1001,14 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                         "run: worker chaos events need --shards >= 2".into(),
                     ));
                 }
-                let mut engine = match &resumed {
-                    Some(checkpoint) => {
-                        tin_core::engine::ProvenanceEngine::resume_from(checkpoint)?
-                    }
-                    None => tin_core::engine::ProvenanceEngine::new(&config, n)?,
-                };
+                let (mut engine, skip) = start_engine(
+                    resume_dir,
+                    &config,
+                    &named,
+                    tin_core::engine::ProvenanceEngine::resume_from,
+                    || tin_core::engine::ProvenanceEngine::new(&config, n),
+                )?;
+                let stream = tail(skip);
                 if let Some(every) = footprint_sample_every {
                     engine = engine.with_footprint_sample_interval(*every)?;
                 }
@@ -1008,10 +1047,14 @@ pub fn run(command: &Command) -> Result<String, CliError> {
                     .map(|plan| plan.driver(*shards, *chaos_seed))
                     .transpose()
                     .map_err(|e| CliError::Usage(format!("run: {e}")))?;
-                let mut engine = match &resumed {
-                    Some(checkpoint) => tin_shard::ShardedEngine::resume_from(checkpoint, *shards)?,
-                    None => tin_shard::ShardedEngine::new(&config, n, *shards)?,
-                };
+                let (mut engine, skip) = start_engine(
+                    resume_dir,
+                    &config,
+                    &named,
+                    |checkpoint| tin_shard::ShardedEngine::resume_from(checkpoint, *shards),
+                    || tin_shard::ShardedEngine::new(&config, n, *shards),
+                )?;
+                let stream = tail(skip);
                 // Sharded runs self-heal by default: worker deaths trigger
                 // respawn + snapshot restore + deterministic replay, so the
                 // report below is byte-identical to an undisturbed run.
@@ -2124,6 +2167,79 @@ mod tests {
         match run(&cmd(prop, 1, Some(&dir), true, None)) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("policy"), "{msg}"),
             other => panic!("expected a policy-mismatch error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A newest checkpoint whose CRCs hold but whose dense rows have the
+    /// wrong width is refused by the engine: `--resume` falls back to the
+    /// previous one on either engine. With every file refused, the error
+    /// names the newest file.
+    #[test]
+    fn resume_falls_back_past_a_checkpoint_the_engine_refuses() {
+        let path = temp_path("refused_resume_trace.csv");
+        let spec = DatasetSpec::new(DatasetKind::Taxis, ScaleProfile::Tiny);
+        tin_datasets::io::write_csv_file(&path, &tin_datasets::generate(&spec)).unwrap();
+        let dir = temp_path("refused_resume_ckpts");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cmd = |shards: usize,
+                   dir: Option<&std::path::Path>,
+                   resume: bool,
+                   crash_at: Option<usize>| Command::Run {
+            path: path.to_string_lossy().into_owned(),
+            policy: SelectionPolicy::ProportionalDense,
+            shards,
+            top: 10,
+            checkpoint_dir: dir.map(|d| d.to_string_lossy().into_owned()),
+            // Only the crashed run saves; resumed runs leave the files be.
+            checkpoint_every: if resume { 1_000_000 } else { 100 },
+            resume,
+            crash_at,
+            metrics_out: None,
+            trace_out: None,
+            progress_every: None,
+            footprint_sample_every: None,
+            chaos_plan: None,
+            chaos_seed: 0,
+            max_worker_restarts: 3,
+            telemetry_out: None,
+            telemetry_every: 1000,
+            crash_report: CrashReportMode::Off,
+        };
+        let uninterrupted = run(&cmd(1, None, false, None)).unwrap();
+        assert!(matches!(
+            run(&cmd(1, Some(&dir), false, Some(450))),
+            Err(CliError::Usage(_))
+        ));
+        let files = CheckpointStore::open(&dir).unwrap().list().unwrap();
+        assert_eq!(files.len(), 4);
+        // Rows of width 1 under intact CRCs, as in the integration test
+        // `dense_rows_of_the_wrong_width_are_corrupt`.
+        let narrow = |file: &std::path::Path| {
+            let mut checkpoint = Checkpoint::read(file).unwrap();
+            for (_, payload) in &mut checkpoint.states {
+                payload.clear();
+                tin_core::codec::put_usize(payload, 1);
+                tin_core::codec::put_f64(payload, 2.0);
+                tin_core::codec::put_f64(payload, 2.0);
+            }
+            checkpoint.write_atomic(file).unwrap();
+        };
+        let newest = files.last().unwrap();
+        narrow(newest);
+        for shards in [1, 2] {
+            let resumed = run(&cmd(shards, Some(&dir), true, None)).unwrap();
+            assert_eq!(resumed, uninterrupted, "--shards {shards}");
+        }
+        files.iter().for_each(|file| narrow(file));
+        for shards in [1, 2] {
+            match run(&cmd(shards, Some(&dir), true, None)) {
+                Err(CliError::Tin(TinError::CorruptCheckpoint { path, .. })) => {
+                    assert_eq!(path, newest.display().to_string(), "--shards {shards}")
+                }
+                other => panic!("expected the newest file's refusal, got {other:?}"),
+            }
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_file(path).ok();

@@ -623,21 +623,40 @@ impl CheckpointStore {
     /// See above; validation failures are [`TinError::CorruptCheckpoint`] /
     /// [`TinError::CheckpointVersionMismatch`] with the file path filled in.
     pub fn load_latest_valid(&self) -> Result<Option<(PathBuf, Checkpoint)>> {
+        self.resume_latest(Ok)
+    }
+
+    /// Hand the retained checkpoints to `resume`, newest first, until one
+    /// is accepted. A file that fails to decode is skipped, and so is one
+    /// that `resume` refuses with [`TinError::CorruptCheckpoint`] or
+    /// [`TinError::CheckpointVersionMismatch`]: its CRCs held, but its
+    /// contents did not fit the engine (a dense row of the wrong width, say).
+    /// Any other error from `resume` ends the search and is returned as is.
+    ///
+    /// Returns `Ok(None)` for an empty store. If no file is accepted,
+    /// returns the *newest* file's error.
+    ///
+    /// # Errors
+    /// See above; a refusal is returned with the refused file's path filled
+    /// in.
+    pub fn resume_latest<T>(
+        &self,
+        mut resume: impl FnMut(Checkpoint) -> Result<T>,
+    ) -> Result<Option<(PathBuf, T)>> {
         let mut newest_err = None;
         for path in self.list()?.into_iter().rev() {
-            match Checkpoint::read(&path) {
-                Ok(ckpt) => return Ok(Some((path, ckpt))),
-                Err(e) => {
-                    if newest_err.is_none() {
-                        newest_err = Some(e);
-                    }
+            let err = match Checkpoint::read(&path).map(&mut resume) {
+                Err(e) => e,
+                Ok(Ok(accepted)) => return Ok(Some((path, accepted))),
+                Ok(Err(e @ TinError::CorruptCheckpoint { .. }))
+                | Ok(Err(e @ TinError::CheckpointVersionMismatch { .. })) => {
+                    patch_path(e, &path.display().to_string())
                 }
-            }
+                Ok(Err(e)) => return Err(e),
+            };
+            newest_err.get_or_insert(err);
         }
-        match newest_err {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
+        newest_err.map_or(Ok(None), Err)
     }
 
     /// Apply the retention policy: prune beyond `max_count`, then prune
@@ -992,6 +1011,53 @@ mod tests {
             &err,
             TinError::CorruptCheckpoint { path, .. } if path.contains("000000000004")
         ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_latest_skips_refusals_and_stops_at_other_errors() {
+        let dir = unique_dir("resume_latest");
+        let mut store = CheckpointStore::open(&dir).unwrap();
+        let mut ckpt = sample_checkpoint();
+        for processed in [2, 4] {
+            ckpt.cursor.processed = processed;
+            store.save(&ckpt).unwrap();
+        }
+        let refuse = |c: &Checkpoint| TinError::CorruptCheckpoint {
+            path: String::new(),
+            section: "states".into(),
+            reason: format!("refused at {}", c.cursor.processed),
+        };
+        // The newest file is refused: the older one resumes.
+        let (path, processed) = store
+            .resume_latest(|c| match c.cursor.processed {
+                4 => Err(refuse(&c)),
+                p => Ok(p),
+            })
+            .unwrap()
+            .unwrap();
+        assert_eq!(processed, 2);
+        assert_eq!(path, store.path_for(2));
+        // Every file refused: the newest file's refusal, with its path.
+        let err = store
+            .resume_latest(|c| Err::<(), _>(refuse(&c)))
+            .unwrap_err();
+        let newest = store.path_for(4).display().to_string();
+        assert!(matches!(
+            &err,
+            TinError::CorruptCheckpoint { path, reason, .. }
+                if *path == newest && reason == "refused at 4"
+        ));
+        // Any other error ends the search at the newest file.
+        let mut tried = Vec::new();
+        let err = store
+            .resume_latest(|c| {
+                tried.push(c.cursor.processed);
+                Err::<(), _>(TinError::InvalidConfig("wrong run".into()))
+            })
+            .unwrap_err();
+        assert_eq!(err, TinError::InvalidConfig("wrong run".into()));
+        assert_eq!(tried, vec![4]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

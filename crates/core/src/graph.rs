@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
-use crate::interaction::{is_sorted_by_time, sort_by_time, validate_stream, Interaction};
+use crate::interaction::{sort_by_time, validate_stream, Interaction};
 use crate::quantity::{qty_sum, Quantity};
 
 /// Summary statistics of a TIN, mirroring Table 6 of the paper
@@ -60,9 +60,7 @@ impl Tin {
         mut interactions: Vec<Interaction>,
     ) -> Result<Self> {
         validate_stream(&interactions, num_vertices)?;
-        if !is_sorted_by_time(&interactions) {
-            sort_by_time(&mut interactions);
-        }
+        sort_by_time(&mut interactions);
         let mut edges: BTreeMap<(VertexId, VertexId), Vec<usize>> = BTreeMap::new();
         let mut out_neighbors = vec![Vec::new(); num_vertices];
         let mut in_neighbors = vec![Vec::new(); num_vertices];
@@ -236,7 +234,7 @@ impl TryFrom<Vec<Interaction>> for Tin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interaction::paper_running_example;
+    use crate::interaction::{is_sorted_by_time, paper_running_example};
 
     fn example_tin() -> Tin {
         Tin::from_interactions(3, paper_running_example()).unwrap()

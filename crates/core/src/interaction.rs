@@ -83,8 +83,12 @@ impl Interaction {
 
 /// Sort interactions in place by time (stable, so simultaneous interactions
 /// keep their input order, matching the paper's "in order of time" processing).
+/// A slice already in order is left as it is, without the sort's scratch
+/// buffer.
 pub fn sort_by_time(interactions: &mut [Interaction]) {
-    interactions.sort_by_key(|a| a.time);
+    if !is_sorted_by_time(interactions) {
+        interactions.sort_by_key(|a| a.time);
+    }
 }
 
 /// Check whether a slice of interactions is sorted by non-decreasing time.
@@ -200,6 +204,33 @@ mod tests {
         assert!(!is_sorted_by_time(&rev));
         assert!(is_sorted_by_time(&[]));
         assert!(is_sorted_by_time(&rs[..1]));
+    }
+
+    /// Over every sequence of up to six times drawn from {-0.0, 0.0, 1.0,
+    /// 2.0}, `is_sorted_by_time` holds exactly when the stable sort would
+    /// leave the sequence as it is, so `sort_by_time` may skip it then.
+    #[test]
+    fn sorted_check_agrees_with_the_sort() {
+        const TIMES: [f64; 4] = [-0.0, 0.0, 1.0, 2.0];
+        for len in 0..=6u32 {
+            for code in 0..TIMES.len().pow(len) {
+                // Distinct quantities identify each interaction's position.
+                let rs: Vec<Interaction> = (0..len)
+                    .map(|i| {
+                        let t = TIMES[code / TIMES.len().pow(i) % TIMES.len()];
+                        Interaction::new(0u32, 1u32, t, f64::from(i) + 1.0)
+                    })
+                    .collect();
+                let order = |rs: &[Interaction]| rs.iter().map(|r| r.qty).collect::<Vec<_>>();
+                let mut sorted = rs.clone();
+                sorted.sort_by_key(|a| a.time);
+                assert_eq!(
+                    is_sorted_by_time(&rs),
+                    order(&sorted) == order(&rs),
+                    "{rs:?}"
+                );
+            }
+        }
     }
 
     #[test]

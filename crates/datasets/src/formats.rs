@@ -16,12 +16,22 @@
 //!   Bitcoin transfers below 0.0001 BTC);
 //! * [`write_named_edge_list`] — the matching writer.
 //!
-//! All loaders skip blank lines and `#` comments, accept comma / whitespace /
-//! tab separators, detect an optional header line, report parse errors with
-//! 1-based line numbers, and return interactions sorted by time.
+//! All loaders read through the one line tokenizer that [`crate::io::read_csv`]
+//! uses too. Lines are read into one reused buffer, so a load allocates
+//! nothing per line. Blank lines and `#` comments are skipped. Fields are
+//! separated by runs of `,` and of any `char` [`char::is_whitespace`]
+//! accepts: `\t \n \x0b \x0c \r` and space, and Unicode whitespace such as
+//! U+00A0 too. The loaders detect an optional header line, report parse
+//! errors with 1-based line numbers, and return interactions sorted by time;
+//! a trace already in time order is not sorted again.
+//!
+//! [`VertexInterner`] finds a canonical decimal name (`0`, or up to nine
+//! digits with no sign and no leading zero: the vertex ids `write_csv`
+//! writes) by direct indexing into a table of ids, which it keeps to at most
+//! `4 * len() + 65_536` entries. Every other name goes through a hash map.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use tin_core::error::{Result, TinError};
@@ -29,16 +39,48 @@ use tin_core::graph::Tin;
 use tin_core::ids::VertexId;
 use tin_core::interaction::{sort_by_time, Interaction};
 
+use crate::tokenizer::{for_each_record, parse_field, Record, COLUMNS};
+
 /// The minimum quantity (in BTC) the paper keeps when preprocessing the
 /// Bitcoin trace: "we did not take into consideration transactions with
 /// insignificant flow (i.e., less than 0.0001 BTC)" (Section 7.1).
 pub const BITCOIN_MIN_FLOW: f64 = 0.0001;
 
 /// A bidirectional mapping between raw vertex names and dense vertex ids.
+///
+/// Ids are assigned in first-appearance order. A canonical decimal name —
+/// `0`, or up to nine digits with no sign and no leading zero, as
+/// [`crate::io::write_csv`] writes vertex ids — is found by direct indexing
+/// into a table of ids. Every other name goes through a hash map. The table
+/// is kept to at most `4 * len() + 65_536` entries, so one large number
+/// such as `999999999` cannot make it huge; a decimal name first seen
+/// beyond that bound lives in the map.
 #[derive(Clone, Debug, Default)]
 pub struct VertexInterner {
+    /// Every name that has no slot in `by_decimal`.
     by_name: HashMap<String, VertexId>,
+    /// `by_decimal[k]` is one more than the id of the decimal name `k`, or
+    /// 0 when `k` has no slot here.
+    by_decimal: Vec<u32>,
     names: Vec<String>,
+}
+
+/// Decimal-table entries allowed per interned name.
+const DECIMAL_TABLE_PER_NAME: usize = 4;
+/// Decimal-table entries allowed on top of those, so the ids of a small
+/// trace never leave the table.
+const DECIMAL_TABLE_SLACK: usize = 65_536;
+
+/// The value of a canonical decimal name: `0`, or one to nine digits
+/// without a sign or a leading zero.
+fn canonical_decimal(name: &str) -> Option<usize> {
+    let bytes = name.as_bytes();
+    if bytes.is_empty() || bytes.len() > 9 || (bytes[0] == b'0' && bytes.len() > 1) {
+        return None;
+    }
+    bytes.iter().try_fold(0usize, |k, &b| {
+        b.is_ascii_digit().then(|| k * 10 + usize::from(b - b'0'))
+    })
 }
 
 impl VertexInterner {
@@ -49,18 +91,40 @@ impl VertexInterner {
 
     /// Return the id of `name`, allocating the next dense id if it is new.
     pub fn intern(&mut self, name: &str) -> VertexId {
-        if let Some(&v) = self.by_name.get(name) {
+        let decimal = canonical_decimal(name);
+        if let Some(v) = self.lookup(name, decimal) {
             return v;
         }
         let v = VertexId::from(self.names.len());
-        self.by_name.insert(name.to_string(), v);
-        self.names.push(name.to_string());
+        self.names.push(name.to_owned());
+        let bound = DECIMAL_TABLE_PER_NAME * self.names.len() + DECIMAL_TABLE_SLACK;
+        // A slot holds id + 1, so the one id without a successor uses the map.
+        match (decimal, v.raw().checked_add(1)) {
+            (Some(k), Some(slot)) if k < bound => {
+                if k >= self.by_decimal.len() {
+                    let len = (k + 1).max(2 * self.by_decimal.len()).min(bound);
+                    self.by_decimal.resize(len, 0);
+                }
+                self.by_decimal[k] = slot;
+            }
+            _ => {
+                self.by_name.insert(name.to_owned(), v);
+            }
+        }
         v
+    }
+
+    /// The id of `name` given its decimal value, if it has one.
+    fn lookup(&self, name: &str, decimal: Option<usize>) -> Option<VertexId> {
+        match decimal.and_then(|k| self.by_decimal.get(k)) {
+            Some(&slot) if slot != 0 => Some(VertexId::new(slot - 1)),
+            _ => self.by_name.get(name).copied(),
+        }
     }
 
     /// The id of `name`, if it has been seen.
     pub fn get(&self, name: &str) -> Option<VertexId> {
-        self.by_name.get(name).copied()
+        self.lookup(name, canonical_decimal(name))
     }
 
     /// The raw name of a vertex id, if it exists.
@@ -121,77 +185,57 @@ impl NamedTin {
     }
 }
 
-/// Split a raw line into fields on commas, tabs and whitespace.
-fn split_fields(line: &str) -> Vec<&str> {
-    line.split(|c: char| c == ',' || c.is_whitespace())
-        .filter(|f| !f.is_empty())
-        .collect()
-}
-
-fn parse_f64(field: &str, what: &str, lineno: usize) -> Result<f64> {
-    field.parse::<f64>().map_err(|_| TinError::Parse {
-        line: lineno,
-        message: format!("invalid {what}: {field:?}"),
-    })
-}
-
 /// Shared loader core: every record is `(src name, dst name, time, qty)`;
 /// `min_qty` drops records below a threshold, self-loops are skipped (several
 /// raw traces contain them, e.g. bitcoin change outputs back to the sender).
 fn read_records<R: Read>(
     reader: R,
     columns: [usize; 4],
-    expected_fields: usize,
     header_token: Option<&str>,
     min_qty: f64,
 ) -> Result<NamedTin> {
-    let buf = BufReader::new(reader);
     let mut interner = VertexInterner::new();
     let mut interactions = Vec::new();
     let [src_col, dst_col, time_col, qty_col] = columns;
     let mut first_record = true;
-    for (idx, line) in buf.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let fields = split_fields(trimmed);
+    for_each_record(reader, |record| {
+        let Record {
+            lineno,
+            text,
+            fields,
+        } = record;
         // A header is the first record-like line, names the columns (holds
         // the token), and has no number where the time or quantity goes — a
         // headerless file whose first name happens to contain the token
         // keeps its first interaction.
         let is_number = |col: usize| fields.get(col).is_some_and(|f| f.parse::<f64>().is_ok());
         if std::mem::take(&mut first_record)
-            && header_token.is_some_and(|token| trimmed.to_ascii_lowercase().contains(token))
+            && header_token.is_some_and(|token| text.to_ascii_lowercase().contains(token))
             && !(is_number(time_col) && is_number(qty_col))
         {
-            continue;
+            return Ok(());
         }
-        if fields.len() < expected_fields {
+        if fields.len() < COLUMNS {
             return Err(TinError::Parse {
                 line: lineno,
-                message: format!(
-                    "expected at least {expected_fields} fields, found {}",
-                    fields.len()
-                ),
+                message: format!("expected at least {COLUMNS} fields, found {}", fields.len()),
             });
         }
-        let time = parse_f64(fields[time_col], "timestamp", lineno)?;
-        let qty = parse_f64(fields[qty_col], "quantity", lineno)?;
+        let time: f64 = parse_field(fields[time_col], "timestamp", lineno)?;
+        let qty: f64 = parse_field(fields[qty_col], "quantity", lineno)?;
         if qty < min_qty || qty <= 0.0 {
-            continue;
+            return Ok(());
         }
         let src = interner.intern(fields[src_col]);
         let dst = interner.intern(fields[dst_col]);
         if src == dst {
-            continue;
+            return Ok(());
         }
         let r = Interaction::new(src, dst, time, qty);
         r.validate(Some(lineno))?;
         interactions.push(r);
-    }
+        Ok(())
+    })?;
     sort_by_time(&mut interactions);
     Ok(NamedTin {
         interactions,
@@ -202,34 +246,34 @@ fn read_records<R: Read>(
 /// Read a konect-style edge list with arbitrary vertex names:
 /// `src dst time qty` per line (Prosper Loans and similar traces).
 pub fn read_named_edge_list<R: Read>(reader: R) -> Result<NamedTin> {
-    read_records(reader, [0, 1, 2, 3], 4, Some("src"), 0.0)
+    read_records(reader, [0, 1, 2, 3], Some("src"), 0.0)
 }
 
 /// Read NYC TLC-style taxi trips: `pickup_zone,dropoff_zone,dropoff_time,passengers`.
 /// Zones are kept as names (e.g. "79" or "East Village"); the drop-off time is
 /// the interaction time and the passenger count the quantity (Section 7.1).
 pub fn read_taxi_trips<R: Read>(reader: R) -> Result<NamedTin> {
-    read_records(reader, [0, 1, 2, 3], 4, Some("pickup"), 0.0)
+    read_records(reader, [0, 1, 2, 3], Some("pickup"), 0.0)
 }
 
 /// Read a flights file: `origin,dest,departure_time,passengers`, airports as
 /// IATA codes (Section 7.1 uses the departure time as the interaction time and
 /// the passenger count as the quantity).
 pub fn read_flights<R: Read>(reader: R) -> Result<NamedTin> {
-    read_records(reader, [0, 1, 2, 3], 4, Some("origin"), 0.0)
+    read_records(reader, [0, 1, 2, 3], Some("origin"), 0.0)
 }
 
 /// Read Bitcoin transactions: `from_address,to_address,timestamp,btc`.
 /// Transfers below [`BITCOIN_MIN_FLOW`] BTC are dropped, mirroring the
 /// paper's preprocessing.
 pub fn read_bitcoin_transactions<R: Read>(reader: R) -> Result<NamedTin> {
-    read_records(reader, [0, 1, 2, 3], 4, Some("from"), BITCOIN_MIN_FLOW)
+    read_records(reader, [0, 1, 2, 3], Some("from"), BITCOIN_MIN_FLOW)
 }
 
 /// Read CTU-style netflow records: `start_time,src_ip,dst_ip,bytes`
 /// (note the time-first column order used by the CTU-13 exports).
 pub fn read_netflow<R: Read>(reader: R) -> Result<NamedTin> {
-    read_records(reader, [1, 2, 0, 3], 4, Some("start"), 0.0)
+    read_records(reader, [1, 2, 0, 3], Some("start"), 0.0)
 }
 
 /// Write a named edge list (`src dst time qty`, names from the interner) that
@@ -280,6 +324,49 @@ mod tests {
         assert_eq!(interner.name_of(VertexId::new(9)), None);
         let pairs: Vec<_> = interner.iter().collect();
         assert_eq!(pairs, vec![(a, "alice"), (b, "bob")]);
+    }
+
+    #[test]
+    fn decimal_names_beyond_the_table_bound_stay_found() {
+        let mut interner = VertexInterner::new();
+        let far = interner.intern("999999999");
+        let late = interner.intern("70000");
+        assert!(interner.by_decimal.is_empty());
+        for k in 0..2_000u32 {
+            interner.intern(&k.to_string());
+        }
+        // The table now reaches past 70000, whose id is still in the map.
+        let next = interner.intern("70001");
+        assert!(interner.by_decimal.len() > 70_001);
+        assert!(interner.by_decimal.len() <= 4 * interner.len() + 65_536);
+        assert_eq!(interner.intern("70000"), late);
+        assert_eq!(interner.get("70000"), Some(late));
+        assert_eq!(interner.intern("999999999"), far);
+        assert_eq!(interner.get("999999999"), Some(far));
+        assert_eq!(interner.get("70001"), Some(next));
+        assert_eq!(interner.get("070000"), None);
+        assert_eq!(interner.get("70002"), None);
+        assert_eq!(interner.name_of(late), Some("70000"));
+        assert_eq!(interner.name_of(next), Some("70001"));
+        assert_eq!(interner.len(), 2_003);
+    }
+
+    #[test]
+    fn only_canonical_decimals_take_the_table() {
+        for name in ["0", "7", "42", "999999999"] {
+            assert_eq!(canonical_decimal(name), name.parse().ok(), "{name}");
+        }
+        for name in ["", "00", "07", "-1", "+1", "1e3", "1.0", "1000000000", "٣"] {
+            assert_eq!(canonical_decimal(name), None, "{name}");
+        }
+        let mut interner = VertexInterner::new();
+        let ids: Vec<_> = ["5", "05", "x", "0", "5"]
+            .iter()
+            .map(|n| interner.intern(n).index())
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 0]);
+        let names: Vec<_> = interner.iter().map(|(_, n)| n).collect();
+        assert_eq!(names, vec!["5", "05", "x", "0"]);
     }
 
     #[test]

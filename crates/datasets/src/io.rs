@@ -5,13 +5,20 @@
 //! paper uses (konect edge lists, NYC TLC trip records after projection), so
 //! users who do have the real data can load it directly and run every
 //! experiment on it instead of the synthetic emulation.
+//!
+//! [`read_csv`] shares its line tokenizer with the named loaders of
+//! [`crate::formats`]: one reused line buffer, so nothing is allocated per
+//! line, and the same comment, blank-line and field-separator rules (see
+//! that module). A trace already in time order is not sorted again.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use tin_core::error::{Result, TinError};
 use tin_core::graph::Tin;
 use tin_core::interaction::{sort_by_time, Interaction};
+
+use crate::tokenizer::{for_each_record, parse_field, Record};
 
 /// Write interactions to a writer as `src,dst,time,qty` lines with a header.
 pub fn write_csv<W: Write>(writer: W, interactions: &[Interaction]) -> Result<()> {
@@ -36,54 +43,39 @@ pub fn write_csv_file(path: impl AsRef<Path>, interactions: &[Interaction]) -> R
 /// * A first line equal to `src,dst,time,qty` (the header we write) is
 ///   skipped.
 /// * Fields may be separated by commas, whitespace or tabs (konect-style
-///   edge lists use whitespace).
+///   edge lists use whitespace); every line has exactly four.
+/// * Vertex ids are `u32`s, and a self-loop is an error.
 /// * The result is sorted by time.
 pub fn read_csv<R: Read>(reader: R) -> Result<Vec<Interaction>> {
     let mut out = Vec::new();
-    let buf = BufReader::new(reader);
-    for (lineno, line) in buf.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+    for_each_record(reader, |record| {
+        let Record {
+            lineno,
+            text,
+            fields,
+        } = record;
+        if lineno == 1 && text.trim().eq_ignore_ascii_case("src,dst,time,qty") {
+            return Ok(());
         }
-        if lineno == 0 && trimmed.eq_ignore_ascii_case("src,dst,time,qty") {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed
-            .split(|c: char| c == ',' || c.is_whitespace())
-            .filter(|f| !f.is_empty())
-            .collect();
         if fields.len() != 4 {
             return Err(TinError::Parse {
-                line: lineno + 1,
+                line: lineno,
                 message: format!(
                     "expected 4 fields (src,dst,time,qty), found {}",
                     fields.len()
                 ),
             });
         }
-        let parse_u32 = |s: &str, what: &str| -> Result<u32> {
-            s.parse::<u32>().map_err(|_| TinError::Parse {
-                line: lineno + 1,
-                message: format!("invalid {what}: {s:?}"),
-            })
-        };
-        let parse_f64 = |s: &str, what: &str| -> Result<f64> {
-            s.parse::<f64>().map_err(|_| TinError::Parse {
-                line: lineno + 1,
-                message: format!("invalid {what}: {s:?}"),
-            })
-        };
         let r = Interaction::new(
-            parse_u32(fields[0], "source vertex")?,
-            parse_u32(fields[1], "destination vertex")?,
-            parse_f64(fields[2], "timestamp")?,
-            parse_f64(fields[3], "quantity")?,
+            parse_field::<u32>(fields[0], "source vertex", lineno)?,
+            parse_field::<u32>(fields[1], "destination vertex", lineno)?,
+            parse_field::<f64>(fields[2], "timestamp", lineno)?,
+            parse_field(fields[3], "quantity", lineno)?,
         );
-        r.validate(Some(lineno + 1))?;
+        r.validate(Some(lineno))?;
         out.push(r);
-    }
+        Ok(())
+    })?;
     sort_by_time(&mut out);
     Ok(out)
 }

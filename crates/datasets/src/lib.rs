@@ -25,6 +25,9 @@ pub mod config;
 pub mod formats;
 pub mod generator;
 pub mod io;
+#[cfg(test)]
+mod reference_loaders;
+mod tokenizer;
 
 pub use config::{DatasetKind, DatasetSpec, ScaleProfile};
 pub use formats::{NamedTin, VertexInterner};
