@@ -463,16 +463,16 @@ fn run_checkpoint_section(config: &PolicyConfig, w: &Workload, reps: usize) -> C
         .collect();
     let capture_secs = TimingStats::from_samples(&mut capture_samples).median_secs;
     let checkpoint = engine.checkpoint().expect("policy supports checkpoints");
-    let encoded_bytes = checkpoint
-        .encode()
-        .expect("bench checkpoints fit the format")
-        .len();
     let dir = checkpoint_scratch_dir();
     let mut store =
         tin_core::checkpoint::CheckpointStore::open(&dir).expect("scratch dir is writable");
     let start = Instant::now();
     store.save(&checkpoint).expect("scratch dir is writable");
     let save_secs = start.elapsed().as_secs_f64();
+    let encoded_bytes = store
+        .last_save_stats()
+        .expect("a save records its stats")
+        .encoded_bytes;
     let _ = std::fs::remove_dir_all(&dir);
 
     CheckpointSection {

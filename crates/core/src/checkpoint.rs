@@ -35,25 +35,33 @@
 //! value surfaces as [`TinError::CorruptCheckpoint`] naming the section, and
 //! recovery falls back to the previous retained checkpoint instead of
 //! installing partial state. A section body longer than its `u32` length
-//! field can describe is refused at encode time with
-//! [`TinError::CheckpointTooLarge`]; nothing is written.
+//! field can describe is refused with [`TinError::CheckpointTooLarge`]
+//! before any byte is written.
 //!
 //! ## Durability protocol
 //!
-//! [`Checkpoint::write_atomic`] never exposes a torn file: bytes go to a
-//! sibling temporary file, are fsynced, and only then renamed over the final
-//! name (followed by a directory fsync so the rename itself is durable). A
-//! crash at any instant leaves either the previous checkpoint or the new one,
-//! never a hybrid. [`CheckpointStore::save`] adds bounded
-//! retry-with-exponential-backoff for transient I/O failures and prunes old
-//! files by count and age after each successful save.
+//! A save streams the file straight from the borrowed capture; no encoded
+//! copy of the states is built. One pass over the per-vertex payloads
+//! computes each section's length and CRC (refusing an oversized section
+//! before the directory is touched). The bytes then go through one
+//! [`WRITE_BUFFER_BYTES`] buffer into a sibling temporary file, which is
+//! fsynced and only then renamed over the final name, followed by a
+//! directory fsync so the rename itself is durable. A crash at any instant
+//! leaves either the previous checkpoint or the new one, never a hybrid, and
+//! a failed attempt removes its temporary file. [`CheckpointStore::save`]
+//! adds bounded retry-with-exponential-backoff for transient I/O failures,
+//! each attempt streaming from the capture again, and prunes old files by
+//! count and age after each successful save. So a save allocates one write
+//! buffer and the two small sections on top of the capture, whatever the
+//! size of the state. [`Checkpoint::encode`] writes the same bytes into one
+//! buffer of the file's exact size.
 
 use std::fs;
-use std::io::Write;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::codec::{self, ByteReader};
+use crate::codec::{self, ByteReader, Crc32};
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::policy::PolicyConfig;
@@ -187,33 +195,84 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Serialise to the versioned, checksummed on-disk byte format.
+    /// Serialise to the versioned, checksummed on-disk byte format: the
+    /// bytes [`Self::write_atomic`] and [`CheckpointStore::save`] stream to
+    /// disk, gathered into one buffer of the file's exact size.
     ///
     /// # Errors
     /// [`TinError::CheckpointTooLarge`] if a section body exceeds the
     /// format's `u32` length field (4 GiB).
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        codec::put_u32(&mut out, SCHEMA_VERSION);
-
-        let mut body = Vec::new();
-        self.policy.encode_into(&mut body);
-        codec::put_usize(&mut body, self.num_vertices);
-        append_section(&mut out, "policy", &body)?;
-
-        body.clear();
-        self.cursor.encode_into(&mut body);
-        append_section(&mut out, "cursor", &body)?;
-
-        body.clear();
-        codec::put_usize(&mut body, self.states.len());
-        for (v, bytes) in &self.states {
-            codec::put_u32(&mut body, *v);
-            codec::put_bytes(&mut body, bytes);
-        }
-        append_section(&mut out, "states", &body)?;
+        let layout = self.layout()?;
+        let mut out = Vec::with_capacity(layout.file_len);
+        self.emit(&layout, &mut |bytes| {
+            out.extend_from_slice(bytes);
+            Ok(())
+        })?;
+        debug_assert_eq!(out.len(), layout.file_len);
         Ok(out)
+    }
+
+    /// The length and CRC pass: one pass over the per-vertex payloads that
+    /// sizes and checksums every section before a byte is written, so an
+    /// oversized section is refused before any file is touched.
+    fn layout(&self) -> Result<Layout> {
+        let mut policy = Vec::new();
+        self.policy.encode_into(&mut policy);
+        codec::put_usize(&mut policy, self.num_vertices);
+        let mut cursor = Vec::new();
+        self.cursor.encode_into(&mut cursor);
+        let mut states_crc = Crc32::new();
+        let mut states_len = 0usize;
+        self.emit_states(&mut |piece| {
+            states_crc.update(piece);
+            states_len += piece.len();
+            Ok(())
+        })?;
+        let headers = [
+            section_header("policy", policy.len(), codec::crc32(&policy))?,
+            section_header("cursor", cursor.len(), codec::crc32(&cursor))?,
+            section_header("states", states_len, states_crc.finish())?,
+        ];
+        let file_len =
+            MAGIC.len() + 4 + 3 * SECTION_HEADER_LEN + policy.len() + cursor.len() + states_len;
+        Ok(Layout {
+            policy,
+            cursor,
+            headers,
+            file_len,
+        })
+    }
+
+    /// Hand the file's bytes to `sink` in order: magic, schema version, then
+    /// each section's `len | crc32` header and body. The states body is
+    /// borrowed from the capture piece by piece, never copied whole.
+    fn emit(
+        &self,
+        layout: &Layout,
+        sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let [policy, cursor, states] = &layout.headers;
+        sink(&MAGIC)?;
+        sink(&SCHEMA_VERSION.to_le_bytes())?;
+        sink(policy)?;
+        sink(&layout.policy)?;
+        sink(cursor)?;
+        sink(&layout.cursor)?;
+        sink(states)?;
+        self.emit_states(sink)
+    }
+
+    /// The states section body, piece by piece: the vertex count, then each
+    /// vertex's id, payload length and payload.
+    fn emit_states(&self, sink: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
+        sink(&(self.states.len() as u64).to_le_bytes())?;
+        for (v, bytes) in &self.states {
+            sink(&v.to_le_bytes())?;
+            sink(&(bytes.len() as u64).to_le_bytes())?;
+            sink(bytes)?;
+        }
+        Ok(())
     }
 
     /// Decode a checkpoint from bytes. `path` labels errors; pass the file
@@ -296,14 +355,17 @@ impl Checkpoint {
     }
 
     /// Write this checkpoint to `path` with the atomic durability protocol:
-    /// temp file → `write_all` → fsync → rename → directory fsync. A crash
-    /// at any point leaves either the old file or the complete new one.
+    /// the bytes stream from the capture into a temp sibling → fsync →
+    /// rename → directory fsync. A crash at any point leaves either the old
+    /// file or the complete new one.
     ///
     /// # Errors
     /// Propagates the underlying I/O failures as [`TinError::Io`], and
-    /// [`TinError::CheckpointTooLarge`] from [`Self::encode`].
+    /// [`TinError::CheckpointTooLarge`] (before touching the directory) if
+    /// the checkpoint does not fit the format.
     pub fn write_atomic(&self, path: &Path) -> Result<()> {
-        write_atomic_bytes(&self.encode()?, path)
+        let layout = self.layout()?;
+        write_atomic_with(path, |sink| self.emit(&layout, sink))
     }
 
     /// Read and validate a checkpoint file.
@@ -318,29 +380,65 @@ impl Checkpoint {
     }
 }
 
-/// Write already-encoded checkpoint bytes to `path` with the atomic
-/// durability protocol (temp file → `write_all` → fsync → rename → directory
-/// fsync). Factored out of [`Checkpoint::write_atomic`] so the store's save
-/// loop encodes once and retries only the I/O.
-fn write_atomic_bytes(bytes: &[u8], path: &Path) -> Result<()> {
+/// Capacity of the buffered writer a save streams through: the one chunk a
+/// save allocates next to the small policy and cursor sections, whatever the
+/// size of the state.
+pub const WRITE_BUFFER_BYTES: usize = 256 * 1024;
+
+/// Bytes of a section's `len u32 | crc32 u32` header.
+const SECTION_HEADER_LEN: usize = 8;
+
+/// What the length and CRC pass learns about a checkpoint's file: the small
+/// policy and cursor bodies, every section's header, and the file's length.
+struct Layout {
+    policy: Vec<u8>,
+    cursor: Vec<u8>,
+    headers: [[u8; SECTION_HEADER_LEN]; 3],
+    file_len: usize,
+}
+
+/// Write a file to `path` with the atomic durability protocol: `emit` hands
+/// the bytes to a sink that buffers them into a temp sibling, which is
+/// flushed, fsynced and renamed over `path`; then the directory is fsynced.
+/// A failed attempt removes its temp file (best effort), so it leaves
+/// neither a partial temp file nor `path`, and the store's save loop can
+/// retry by streaming again.
+fn write_atomic_with(
+    path: &Path,
+    emit: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+) -> Result<()> {
     let tmp = tmp_sibling(path);
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(bytes)?;
-    file.sync_all()?;
-    drop(file);
-    fs::rename(&tmp, path)?;
+    if let Err(e) = write_and_rename(&tmp, path, emit) {
+        let _ = fs::remove_file(&tmp);
+        return Err(e.into());
+    }
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         fs::File::open(dir)?.sync_all()?;
     }
     Ok(())
 }
 
-/// Append one `len | crc32 | body` section.
-fn append_section(out: &mut Vec<u8>, section: &str, body: &[u8]) -> Result<()> {
-    codec::put_u32(out, section_len(section, body.len())?);
-    codec::put_u32(out, codec::crc32(body));
-    out.extend_from_slice(body);
-    Ok(())
+/// The file steps of [`write_atomic_with`]: stream into `tmp` (the only
+/// sink a checkpoint's bytes reach a file through), fsync, rename to `path`.
+fn write_and_rename(
+    tmp: &Path,
+    path: &Path,
+    emit: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut file = BufWriter::with_capacity(WRITE_BUFFER_BYTES, fs::File::create(tmp)?);
+    emit(&mut |bytes| file.write_all(bytes))?;
+    let file = file.into_inner().map_err(io::IntoInnerError::into_error)?;
+    file.sync_all()?;
+    drop(file);
+    fs::rename(tmp, path)
+}
+
+/// A section's `len | crc32` header.
+fn section_header(section: &str, len: usize, crc: u32) -> Result<[u8; SECTION_HEADER_LEN]> {
+    let mut header = [0; SECTION_HEADER_LEN];
+    header[..4].copy_from_slice(&section_len(section, len)?.to_le_bytes());
+    header[4..].copy_from_slice(&crc.to_le_bytes());
+    Ok(header)
 }
 
 /// The `u32` length field of a `len`-byte section body.
@@ -434,14 +532,16 @@ impl Default for RetentionPolicy {
 /// metrics (encode vs. fsync stalls vs. retry churn).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SaveStats {
-    /// Seconds spent encoding the checkpoint into its byte form.
+    /// Seconds spent in the length and CRC pass over the capture, which
+    /// sizes and checksums every section before a byte is written.
     pub encode_secs: f64,
-    /// Seconds spent in the atomic write protocol (temp file, `write_all`,
-    /// fsync, rename, directory fsync), summed over every attempt.
+    /// Seconds spent in the atomic write protocol (temp file, the streamed
+    /// write from the capture, fsync, rename, directory fsync), summed over
+    /// every attempt.
     pub write_secs: f64,
     /// Failed attempts before the write succeeded (0 for a clean save).
     pub retries: usize,
-    /// Size of the encoded checkpoint in bytes.
+    /// Size of the checkpoint file in bytes.
     pub encoded_bytes: usize,
 }
 
@@ -536,9 +636,10 @@ impl CheckpointStore {
             .join(format!("ckpt-{processed:012}.{FILE_EXTENSION}"))
     }
 
-    /// Save a checkpoint atomically, retrying transient I/O failures with
-    /// exponential backoff, then prune old files per the retention policy.
-    /// Returns the final file path.
+    /// Save a checkpoint atomically, streaming it from the borrowed capture,
+    /// and retry transient I/O failures with exponential backoff, each
+    /// attempt streaming again; then prune old files per the retention
+    /// policy. Returns the final file path.
     ///
     /// # Errors
     /// Returns [`TinError::CheckpointTooLarge`] (before touching the
@@ -547,7 +648,7 @@ impl CheckpointStore {
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<PathBuf> {
         let path = self.path_for(checkpoint.cursor.processed);
         let encode_start = Instant::now();
-        let bytes = checkpoint.encode()?;
+        let layout = checkpoint.layout()?;
         let encode_secs = encode_start.elapsed().as_secs_f64();
         let mut delay = self.retry_backoff;
         let mut last_err = None;
@@ -562,7 +663,7 @@ impl CheckpointStore {
                 Some(hook) => hook().map_err(TinError::from),
                 None => Ok(()),
             }
-            .and_then(|()| write_atomic_bytes(&bytes, &path));
+            .and_then(|()| write_atomic_with(&path, |sink| checkpoint.emit(&layout, sink)));
             write_secs += write_start.elapsed().as_secs_f64();
             match attempt_result {
                 Ok(()) => {
@@ -571,7 +672,7 @@ impl CheckpointStore {
                         encode_secs,
                         write_secs,
                         retries: attempt,
-                        encoded_bytes: bytes.len(),
+                        encoded_bytes: layout.file_len,
                     });
                     self.enforce_retention()?;
                     return Ok(path);
@@ -700,6 +801,12 @@ mod tests {
         dir
     }
 
+    /// Append one `len | crc32 | body` section.
+    fn append_section(out: &mut Vec<u8>, section: &str, body: &[u8]) {
+        out.extend_from_slice(&section_header(section, body.len(), codec::crc32(body)).unwrap());
+        out.extend_from_slice(body);
+    }
+
     fn sample_checkpoint() -> Checkpoint {
         let config = PolicyConfig::Plain(SelectionPolicy::Fifo);
         let mut tracker = build_tracker(&config, 3).unwrap();
@@ -786,13 +893,13 @@ mod tests {
             let mut body = Vec::new();
             PolicyConfig::Plain(SelectionPolicy::Fifo).encode_into(&mut body);
             codec::put_usize(&mut body, count);
-            append_section(&mut bytes, "policy", &body).unwrap();
+            append_section(&mut bytes, "policy", &body);
             body.clear();
             StreamCursor::default().encode_into(&mut body);
-            append_section(&mut bytes, "cursor", &body).unwrap();
+            append_section(&mut bytes, "cursor", &body);
             body.clear();
             codec::put_usize(&mut body, count);
-            append_section(&mut bytes, "states", &body).unwrap();
+            append_section(&mut bytes, "states", &body);
             let err = Checkpoint::decode(&bytes, "crafted.tin").unwrap_err();
             assert!(
                 matches!(&err, TinError::CorruptCheckpoint { section, .. } if section == "states"),
@@ -885,8 +992,34 @@ mod tests {
         ckpt.write_atomic(&path).unwrap();
         // No temp file left behind.
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(fs::read(&path).unwrap(), ckpt.encode().unwrap());
         let back = Checkpoint::read(&path).unwrap();
         assert_eq!(back.states, ckpt.states);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An attempt whose stream fails partway, after more than a write
+    /// buffer's worth of bytes reached the temp file, leaves neither the temp
+    /// file nor the final name; the next attempt writes the whole file.
+    #[test]
+    fn failed_write_attempt_removes_its_temp_file() {
+        let dir = unique_dir("partial");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt-000000000006.tin");
+        let ckpt = sample_checkpoint();
+        let layout = ckpt.layout().unwrap();
+        let err = write_atomic_with(&path, |sink| {
+            ckpt.emit(&layout, sink)?;
+            sink(&vec![0; WRITE_BUFFER_BYTES])?;
+            Err(io::Error::other("device full"))
+        })
+        .unwrap_err();
+        assert!(matches!(err, TinError::Io(_)), "{err:?}");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+
+        write_atomic_with(&path, |sink| ckpt.emit(&layout, sink)).unwrap();
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(fs::read(&path).unwrap(), ckpt.encode().unwrap());
         fs::remove_dir_all(&dir).unwrap();
     }
 

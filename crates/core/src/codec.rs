@@ -175,31 +175,54 @@ impl<'a> ByteReader<'a> {
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) over `bytes` —
 /// the per-section integrity check of the checkpoint file format.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    const fn table() -> [u32; 256] {
-        let mut t = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// [`crc32`] fed piece by piece: the CRC of the concatenation of every
+/// slice passed to [`Self::update`], so a section can be checksummed from
+/// the pieces it is written from without first being copied into one
+/// buffer.
+#[derive(Debug)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    pub(crate) fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        const fn table() -> [u32; 256] {
+            let mut t = [0u32; 256];
+            let mut i = 0;
+            while i < 256 {
+                let mut c = i as u32;
+                let mut k = 0;
+                while k < 8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                    k += 1;
+                }
+                t[i] = c;
+                i += 1;
             }
-            t[i] = c;
-            i += 1;
+            t
         }
-        t
+        const TABLE: [u32; 256] = table();
+        let mut crc = self.0;
+        for &b in bytes {
+            crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
     }
-    const TABLE: [u32; 256] = table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+
+    pub(crate) fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
     }
-    crc ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -273,5 +296,24 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_ne!(crc32(b"tin"), crc32(b"tim"));
+    }
+
+    #[test]
+    fn crc32_fed_in_pieces_matches_one_pass() {
+        let bytes: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
+        for cuts in [
+            vec![],
+            vec![0, 1000],
+            vec![1, 9, 500, 999],
+            vec![333, 334, 335],
+        ] {
+            let mut crc = Crc32::new();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([bytes.len()]) {
+                crc.update(&bytes[from..to]);
+                from = to;
+            }
+            assert_eq!(crc.finish(), crc32(&bytes));
+        }
     }
 }

@@ -173,7 +173,7 @@ impl From<VertexId> for Origin {
 ///
 /// Stored as `f64` seconds (or any consistent unit); only the ordering matters
 /// to the algorithms.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct Timestamp(pub f64);
 
 impl Timestamp {
@@ -208,15 +208,25 @@ impl From<f64> for Timestamp {
 
 impl Eq for Timestamp {}
 
-#[allow(clippy::derive_ord_xor_partial_ord)]
+impl PartialOrd for Timestamp {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 impl Ord for Timestamp {
     /// Total order over timestamps.
     ///
-    /// Interaction timestamps are finite non-negative reals (Definition 1); we
-    /// use `total_cmp` so that the order is total even if NaN sneaks in via a
-    /// malformed data file, in which case NaN sorts after all real values.
+    /// Interaction timestamps are finite non-negative reals (Definition 1).
+    /// On every value but NaN this is `f64`'s own order, so `cmp`, `<` and
+    /// `==` agree on every timestamp [`crate::interaction::Interaction::validate`]
+    /// accepts, `-0.0 == 0.0` included. NaN, which validation refuses,
+    /// falls back to `total_cmp` so that the order stays total: NaN sorts
+    /// after every real value.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+        self.0
+            .partial_cmp(&other.0)
+            .unwrap_or_else(|| self.0.total_cmp(&other.0))
     }
 }
 
@@ -299,6 +309,20 @@ mod tests {
         assert_eq!(a.cmp(&b), std::cmp::Ordering::Less);
         assert_eq!(Timestamp::ZERO.value(), 0.0);
         assert_eq!(Timestamp::from(3.0).value(), 3.0);
+    }
+
+    #[test]
+    fn timestamp_cmp_agrees_with_lt_and_eq_on_valid_times() {
+        let times = [-0.0, 0.0, 1.0, 2.0].map(Timestamp::new);
+        for a in times {
+            for b in times {
+                let ord = a.cmp(&b);
+                assert_eq!(a.partial_cmp(&b), Some(ord), "{a} vs {b}");
+                assert_eq!(a.0.partial_cmp(&b.0), Some(ord), "{a} vs {b}");
+                assert_eq!(a == b, ord.is_eq(), "{a} vs {b}");
+                assert_eq!(a < b, ord.is_lt(), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

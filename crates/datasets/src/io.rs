@@ -40,21 +40,23 @@ pub fn write_csv_file(path: impl AsRef<Path>, interactions: &[Interaction]) -> R
 /// Parse interactions from a reader.
 ///
 /// * Lines starting with `#` and blank lines are skipped.
-/// * A first line equal to `src,dst,time,qty` (the header we write) is
-///   skipped.
+/// * A first record line (the first line that is neither blank nor a
+///   comment) equal to `src,dst,time,qty`, the header we write, is skipped.
 /// * Fields may be separated by commas, whitespace or tabs (konect-style
 ///   edge lists use whitespace); every line has exactly four.
 /// * Vertex ids are `u32`s, and a self-loop is an error.
 /// * The result is sorted by time.
 pub fn read_csv<R: Read>(reader: R) -> Result<Vec<Interaction>> {
     let mut out = Vec::new();
+    let mut first_record = true;
     for_each_record(reader, |record| {
         let Record {
             lineno,
             text,
             fields,
         } = record;
-        if lineno == 1 && text.trim().eq_ignore_ascii_case("src,dst,time,qty") {
+        if std::mem::take(&mut first_record) && text.trim().eq_ignore_ascii_case("src,dst,time,qty")
+        {
             return Ok(());
         }
         if fields.len() != 4 {
@@ -129,6 +131,17 @@ mod tests {
         assert_eq!(parsed.len(), 3);
         assert_eq!(parsed[0].qty, 3.0);
         assert_eq!(parsed[2].time.value(), 4.0);
+    }
+
+    #[test]
+    fn header_after_a_comment_and_a_blank_line_is_skipped() {
+        let text = "# exported trace\n\nsrc,dst,time,qty\n1,2,1.0,3\n2,0,3.0,5\n";
+        let parsed = read_csv(text.as_bytes()).unwrap();
+        assert_eq!(parsed.len(), 2);
+        assert_eq!(parsed[0].src.raw(), 1);
+        // Only the first record line may be the header.
+        let err = read_csv("# c\n1,2,1.0,3\nsrc,dst,time,qty\n".as_bytes()).unwrap_err();
+        assert!(matches!(err, TinError::Parse { line: 3, .. }), "{err:?}");
     }
 
     #[test]

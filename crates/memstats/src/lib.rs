@@ -44,6 +44,9 @@ thread_local! {
     /// without a destructor, so the allocator can bump it on any thread at
     /// any point of the thread's life without allocating itself.
     static THREAD_ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes those allocation calls asked for (a reallocation counts its
+    /// new size), under the same constraints.
+    static THREAD_ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// A global allocator that forwards to the system allocator while counting
@@ -67,6 +70,7 @@ fn on_alloc(size: usize) {
     INSTALLED.store(true, Ordering::Relaxed);
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     THREAD_ALLOCATIONS.with(|count| count.set(count.get() + 1));
+    THREAD_ALLOCATED_BYTES.with(|bytes| bytes.set(bytes.get() + size));
     let now = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
     // Update the peak with a CAS loop (racy peaks are acceptable for the
     // experiment harness, but we avoid losing large updates).
@@ -145,6 +149,14 @@ pub fn snapshot() -> MemorySnapshot {
 /// threads — a test harness's main thread, say — never move it.
 pub fn thread_allocations() -> usize {
     THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Bytes the calling thread's allocation calls have asked for since the
+/// thread started, freed or not (a reallocation counts its new size; 0 when
+/// the allocator is not installed). An upper bound on how far the thread
+/// raised the live heap over any span, which other threads never move.
+pub fn thread_allocated_bytes() -> usize {
+    THREAD_ALLOCATED_BYTES.with(Cell::get)
 }
 
 /// True if a [`CountingAllocator`] has observed at least one allocation,
@@ -260,10 +272,11 @@ mod tests {
 
     #[test]
     fn thread_allocations_count_only_the_calling_thread() {
-        let before = thread_allocations();
+        let (before, bytes_before) = (thread_allocations(), thread_allocated_bytes());
         on_alloc(8);
         on_dealloc(8);
         assert_eq!(thread_allocations(), before + 1);
+        assert_eq!(thread_allocated_bytes(), bytes_before + 8);
         std::thread::spawn(|| {
             on_alloc(8);
             on_dealloc(8);
@@ -271,6 +284,7 @@ mod tests {
         .join()
         .unwrap();
         assert_eq!(thread_allocations(), before + 1);
+        assert_eq!(thread_allocated_bytes(), bytes_before + 8);
     }
 
     #[test]

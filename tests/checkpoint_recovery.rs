@@ -345,6 +345,35 @@ fn golden_checkpoints_encode_and_resume_identically() {
     }
 }
 
+/// A durable save streams the same bytes: for every golden configuration,
+/// the file `CheckpointStore::save` writes equals `Checkpoint::encode()`,
+/// which is the golden case, and the save reports the file's size.
+#[test]
+fn golden_checkpoints_save_the_encoded_bytes() {
+    let stream = tin_core::interaction::paper_running_example();
+    let dir = unique_dir("golden_save");
+    let mut store = CheckpointStore::open(&dir).unwrap();
+    for (config, hex) in golden_cases() {
+        let mut engine = ProvenanceEngine::new(&config, 3).unwrap();
+        engine.process_all(&stream[..GOLDEN_PREFIX]).unwrap();
+        let ckpt = engine.checkpoint().unwrap();
+        let saved = std::fs::read(store.save(&ckpt).unwrap()).unwrap();
+        assert!(
+            saved == ckpt.encode().unwrap(),
+            "{} saves bytes encode() does not write",
+            config.key()
+        );
+        assert!(saved == from_hex(hex), "{} saves new bytes", config.key());
+        assert_eq!(
+            store.last_save_stats().unwrap().encoded_bytes,
+            saved.len(),
+            "{}",
+            config.key()
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A provenance vector stored under the retired dense representation tag
 /// `1` (slot count, one `f64` per slot) is corrupt, not restored.
 #[test]
