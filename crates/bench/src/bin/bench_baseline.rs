@@ -910,11 +910,20 @@ fn main() {
         // Durable-checkpoint cost on the same hot-path policy: single
         // capture/save cost plus end-to-end overhead per interval.
         let ckpt = run_checkpoint_section(&scaling_config, &w, reps);
+        // Save throughput, and each interval's allocator peak over the
+        // disabled row's, which holds the live state alone.
+        let save_mb_per_sec = if ckpt.save_secs > 0.0 {
+            ckpt.encoded_bytes as f64 / 1e6 / ckpt.save_secs
+        } else {
+            0.0
+        };
+        let state_alloc_bytes = ckpt.rows[0].peak_alloc_bytes.max(1) as f64;
         println!(
-            "    checkpoint ({}): capture {:.3} ms, save {:.3} ms, {} bytes",
+            "    checkpoint ({}): capture {:.3} ms, save {:.3} ms ({:.1} MB/s), {} bytes",
             ckpt.policy,
             ckpt.capture_secs * 1e3,
             ckpt.save_secs * 1e3,
+            save_mb_per_sec,
             ckpt.encoded_bytes,
         );
         let interval_blobs: Vec<String> = ckpt
@@ -926,18 +935,20 @@ fn main() {
                 } else {
                     format!("every {}", row.checkpoint_every)
                 };
+                let peak_alloc_over_state = row.peak_alloc_bytes as f64 / state_alloc_bytes;
                 println!(
-                    "      {label:<14} {:>10.3} ms/pass  overhead {:+6.2}%  alloc peak {:>12}",
+                    "      {label:<14} {:>10.3} ms/pass  overhead {:+6.2}%  alloc peak {:>12} ({:.2}x state)",
                     row.timing.median_secs * 1e3,
                     row.overhead_percent,
                     tin_memstats::format_bytes(row.peak_alloc_bytes),
+                    peak_alloc_over_state,
                 );
                 format!(
                     concat!(
                         "{{\"checkpoint_every\": {}, \"checkpoints_per_pass\": {}, ",
                         "\"runtime_secs\": {}, \"runtime_secs_min\": {}, ",
                         "\"runtime_secs_max\": {}, \"overhead_percent\": {}, ",
-                        "\"peak_alloc_bytes\": {}}}"
+                        "\"peak_alloc_bytes\": {}, \"peak_alloc_over_state\": {}}}"
                     ),
                     row.checkpoint_every,
                     row.checkpoints_per_pass,
@@ -946,13 +957,15 @@ fn main() {
                     fmt_f64(row.timing.max_secs),
                     fmt_f64(row.overhead_percent),
                     row.peak_alloc_bytes,
+                    fmt_f64(peak_alloc_over_state),
                 )
             })
             .collect();
         checkpoint_blobs.push(format!(
             concat!(
                 "{{\"dataset\": \"{}\", \"policy\": \"{}\", \"capture_secs\": {}, ",
-                "\"save_secs\": {}, \"encoded_bytes\": {}, \"reps\": {},\n",
+                "\"save_secs\": {}, \"encoded_bytes\": {}, \"save_mb_per_sec\": {}, ",
+                "\"reps\": {},\n",
                 "     \"intervals\": [\n      {}\n     ]}}"
             ),
             kind.key(),
@@ -960,6 +973,7 @@ fn main() {
             fmt_f64(ckpt.capture_secs),
             fmt_f64(ckpt.save_secs),
             ckpt.encoded_bytes,
+            fmt_f64(save_mb_per_sec),
             reps,
             interval_blobs.join(",\n      "),
         ));

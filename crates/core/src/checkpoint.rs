@@ -40,21 +40,28 @@
 //!
 //! ## Durability protocol
 //!
-//! A save streams the file straight from the borrowed capture; no encoded
-//! copy of the states is built. One pass over the per-vertex payloads
-//! computes each section's length and CRC (refusing an oversized section
-//! before the directory is touched). The bytes then go through one
-//! [`WRITE_BUFFER_BYTES`] buffer into a sibling temporary file, which is
-//! fsynced and only then renamed over the final name, followed by a
-//! directory fsync so the rename itself is durable. A crash at any instant
-//! leaves either the previous checkpoint or the new one, never a hybrid, and
-//! a failed attempt removes its temporary file. [`CheckpointStore::save`]
-//! adds bounded retry-with-exponential-backoff for transient I/O failures,
-//! each attempt streaming from the capture again, and prunes old files by
-//! count and age after each successful save. So a save allocates one write
-//! buffer and the two small sections on top of the capture, whatever the
-//! size of the state. [`Checkpoint::encode`] writes the same bytes into one
-//! buffer of the file's exact size.
+//! A save streams the file from a payload source ([`Payloads`]) and builds
+//! no encoded copy of the states. The source is either a capture's owned
+//! per-vertex payloads or the live tracker itself: the sequential engine's
+//! periodic saves take no capture, but encode the tracker vertex by vertex
+//! into one reused buffer on each pass. A first pass over the payloads
+//! computes each section's length and CRC, refusing an oversized section
+//! before the directory is touched. A second pass streams the bytes through
+//! one [`WRITE_BUFFER_BYTES`] buffer into a sibling temporary file; it
+//! counts the states bytes it emits, and if they differ from the first
+//! pass's count the attempt fails. The file is fsynced and only then
+//! renamed over the final name, followed by a directory fsync so the rename
+//! itself is durable. A crash at any instant leaves either the previous
+//! checkpoint or the new one, never a hybrid, and a failed attempt removes
+//! its temporary file. [`CheckpointStore::save`] and the engines' periodic
+//! saves share one save loop: bounded retry-with-exponential-backoff for
+//! transient I/O failures, each attempt streaming from the source again,
+//! then pruning old files by count and age. So a save allocates one write
+//! buffer and the two small sections, whatever the size of the state: on
+//! top of the capture when it saves one, and on top of the live state plus
+//! its largest vertex payload when it saves a live tracker.
+//! [`Checkpoint::encode`] writes the same bytes into one buffer of the
+//! file's exact size.
 
 use std::fs;
 use std::io::{self, BufWriter, Write};
@@ -154,10 +161,7 @@ impl Checkpoint {
         for v in 0..num_vertices {
             let mut bytes = Vec::new();
             if !tracker.encode_vertex_state(VertexId::from(v), &mut bytes) {
-                return Err(TinError::InvalidConfig(format!(
-                    "tracker `{}` does not support durable checkpoints",
-                    tracker.name()
-                )));
+                return Err(unsupported(tracker));
             }
             states.push((v as u32, bytes));
         }
@@ -203,9 +207,10 @@ impl Checkpoint {
     /// [`TinError::CheckpointTooLarge`] if a section body exceeds the
     /// format's `u32` length field (4 GiB).
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let layout = self.layout()?;
+        let mut source = self.source();
+        let layout = source.layout()?;
         let mut out = Vec::with_capacity(layout.file_len);
-        self.emit(&layout, &mut |bytes| {
+        source.emit(&layout, &mut |bytes| {
             out.extend_from_slice(bytes);
             Ok(())
         })?;
@@ -213,66 +218,14 @@ impl Checkpoint {
         Ok(out)
     }
 
-    /// The length and CRC pass: one pass over the per-vertex payloads that
-    /// sizes and checksums every section before a byte is written, so an
-    /// oversized section is refused before any file is touched.
-    fn layout(&self) -> Result<Layout> {
-        let mut policy = Vec::new();
-        self.policy.encode_into(&mut policy);
-        codec::put_usize(&mut policy, self.num_vertices);
-        let mut cursor = Vec::new();
-        self.cursor.encode_into(&mut cursor);
-        let mut states_crc = Crc32::new();
-        let mut states_len = 0usize;
-        self.emit_states(&mut |piece| {
-            states_crc.update(piece);
-            states_len += piece.len();
-            Ok(())
-        })?;
-        let headers = [
-            section_header("policy", policy.len(), codec::crc32(&policy))?,
-            section_header("cursor", cursor.len(), codec::crc32(&cursor))?,
-            section_header("states", states_len, states_crc.finish())?,
-        ];
-        let file_len =
-            MAGIC.len() + 4 + 3 * SECTION_HEADER_LEN + policy.len() + cursor.len() + states_len;
-        Ok(Layout {
-            policy,
-            cursor,
-            headers,
-            file_len,
-        })
-    }
-
-    /// Hand the file's bytes to `sink` in order: magic, schema version, then
-    /// each section's `len | crc32` header and body. The states body is
-    /// borrowed from the capture piece by piece, never copied whole.
-    fn emit(
-        &self,
-        layout: &Layout,
-        sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
-    ) -> io::Result<()> {
-        let [policy, cursor, states] = &layout.headers;
-        sink(&MAGIC)?;
-        sink(&SCHEMA_VERSION.to_le_bytes())?;
-        sink(policy)?;
-        sink(&layout.policy)?;
-        sink(cursor)?;
-        sink(&layout.cursor)?;
-        sink(states)?;
-        self.emit_states(sink)
-    }
-
-    /// The states section body, piece by piece: the vertex count, then each
-    /// vertex's id, payload length and payload.
-    fn emit_states(&self, sink: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()> {
-        sink(&(self.states.len() as u64).to_le_bytes())?;
-        for (v, bytes) in &self.states {
-            sink(&v.to_le_bytes())?;
-            sink(&(bytes.len() as u64).to_le_bytes())?;
-            sink(bytes)?;
-        }
-        Ok(())
+    /// This capture as the source of a save.
+    fn source(&self) -> CheckpointSource<'_, '_> {
+        CheckpointSource::new(
+            &self.policy,
+            self.num_vertices,
+            &self.cursor,
+            Payloads::Captured(&self.states),
+        )
     }
 
     /// Decode a checkpoint from bytes. `path` labels errors; pass the file
@@ -364,8 +317,9 @@ impl Checkpoint {
     /// [`TinError::CheckpointTooLarge`] (before touching the directory) if
     /// the checkpoint does not fit the format.
     pub fn write_atomic(&self, path: &Path) -> Result<()> {
-        let layout = self.layout()?;
-        write_atomic_with(path, |sink| self.emit(&layout, sink))
+        let mut source = self.source();
+        let layout = source.layout()?;
+        write_atomic_with(path, |sink| source.emit(&layout, sink))
     }
 
     /// Read and validate a checkpoint file.
@@ -380,20 +334,174 @@ impl Checkpoint {
     }
 }
 
+/// Where a save reads a checkpoint's per-vertex payloads from.
+pub enum Payloads<'a> {
+    /// A capture's owned payloads, strictly increasing by vertex id.
+    Captured(&'a [(u32, Vec<u8>)]),
+    /// The live tracker. Each pass over the states encodes it vertex by
+    /// vertex ([`ProvenanceTracker::encode_vertex_state`]) into one buffer
+    /// that the save reuses, so the save holds no copy of the state.
+    Live(&'a mut dyn ProvenanceTracker),
+}
+
+/// What a save streams into a checkpoint file: the fields of the policy and
+/// cursor sections, and the per-vertex payloads of the states section.
+pub(crate) struct CheckpointSource<'a, 'p> {
+    policy: &'a PolicyConfig,
+    num_vertices: usize,
+    cursor: &'a StreamCursor,
+    payloads: Payloads<'p>,
+    /// The buffer a live tracker's payloads are encoded into, one vertex at
+    /// a time, by both passes of every attempt.
+    scratch: Vec<u8>,
+}
+
+impl<'a, 'p> CheckpointSource<'a, 'p> {
+    /// The file of a run of `policy` over `num_vertices` vertices at
+    /// `cursor`, whose states are `payloads`.
+    pub(crate) fn new(
+        policy: &'a PolicyConfig,
+        num_vertices: usize,
+        cursor: &'a StreamCursor,
+        payloads: Payloads<'p>,
+    ) -> Self {
+        CheckpointSource {
+            policy,
+            num_vertices,
+            cursor,
+            payloads,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The length and CRC pass: one pass over the per-vertex payloads that
+    /// sizes and checksums every section before a byte is written, so an
+    /// oversized section is refused before any file is touched.
+    fn layout(&mut self) -> Result<Layout> {
+        let mut policy = Vec::new();
+        self.policy.encode_into(&mut policy);
+        codec::put_usize(&mut policy, self.num_vertices);
+        let mut cursor = Vec::new();
+        self.cursor.encode_into(&mut cursor);
+        let mut states_crc = Crc32::new();
+        let mut states_len = 0usize;
+        self.emit_states(&mut |piece| {
+            states_crc.update(piece);
+            states_len += piece.len();
+            Ok(())
+        })?;
+        let headers = [
+            section_header("policy", policy.len(), codec::crc32(&policy))?,
+            section_header("cursor", cursor.len(), codec::crc32(&cursor))?,
+            section_header("states", states_len, states_crc.finish())?,
+        ];
+        let file_len =
+            MAGIC.len() + 4 + 3 * SECTION_HEADER_LEN + policy.len() + cursor.len() + states_len;
+        Ok(Layout {
+            policy,
+            cursor,
+            headers,
+            states_len,
+            file_len,
+        })
+    }
+
+    /// Hand the file's bytes to `sink` in order: magic, schema version, then
+    /// each section's `len | crc32` header and body. The states body is
+    /// streamed from the payloads piece by piece, never copied whole.
+    ///
+    /// # Errors
+    /// Fails with [`TinError::Io`] if the states streamed here are not as
+    /// long as the length pass counted, so the header would not match the
+    /// body.
+    fn emit(
+        &mut self,
+        layout: &Layout,
+        sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
+    ) -> Result<()> {
+        let [policy, cursor, states] = &layout.headers;
+        sink(&MAGIC)?;
+        sink(&SCHEMA_VERSION.to_le_bytes())?;
+        sink(policy)?;
+        sink(&layout.policy)?;
+        sink(cursor)?;
+        sink(&layout.cursor)?;
+        sink(states)?;
+        let mut streamed = 0usize;
+        self.emit_states(&mut |piece| {
+            streamed += piece.len();
+            sink(piece)
+        })?;
+        if streamed != layout.states_len {
+            return Err(TinError::Io(format!(
+                "streamed {streamed} bytes of states, but the length pass counted {}",
+                layout.states_len
+            )));
+        }
+        Ok(())
+    }
+
+    /// The states section body, piece by piece: the vertex count, then each
+    /// vertex's id, payload length and payload.
+    fn emit_states(&mut self, sink: &mut dyn FnMut(&[u8]) -> io::Result<()>) -> Result<()> {
+        match &mut self.payloads {
+            Payloads::Captured(states) => {
+                sink(&(states.len() as u64).to_le_bytes())?;
+                for (v, bytes) in states.iter() {
+                    emit_payload(sink, *v, bytes)?;
+                }
+            }
+            Payloads::Live(tracker) => {
+                let num_vertices = tracker.num_vertices();
+                sink(&(num_vertices as u64).to_le_bytes())?;
+                for v in 0..num_vertices {
+                    self.scratch.clear();
+                    if !tracker.encode_vertex_state(VertexId::from(v), &mut self.scratch) {
+                        return Err(unsupported(&**tracker));
+                    }
+                    emit_payload(sink, v as u32, &self.scratch)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One states entry: the vertex id, the payload length and the payload.
+fn emit_payload(
+    sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
+    v: u32,
+    bytes: &[u8],
+) -> io::Result<()> {
+    sink(&v.to_le_bytes())?;
+    sink(&(bytes.len() as u64).to_le_bytes())?;
+    sink(bytes)
+}
+
+/// The error for a tracker that cannot encode its vertex states.
+fn unsupported(tracker: &dyn ProvenanceTracker) -> TinError {
+    TinError::InvalidConfig(format!(
+        "tracker `{}` does not support durable checkpoints",
+        tracker.name()
+    ))
+}
+
 /// Capacity of the buffered writer a save streams through: the one chunk a
-/// save allocates next to the small policy and cursor sections, whatever the
-/// size of the state.
+/// save allocates next to the small policy and cursor sections (and, saving
+/// a live tracker, its payload buffer), whatever the size of the state.
 pub const WRITE_BUFFER_BYTES: usize = 256 * 1024;
 
 /// Bytes of a section's `len u32 | crc32 u32` header.
 const SECTION_HEADER_LEN: usize = 8;
 
 /// What the length and CRC pass learns about a checkpoint's file: the small
-/// policy and cursor bodies, every section's header, and the file's length.
+/// policy and cursor bodies, every section's header, and the lengths of the
+/// states body and of the file.
 struct Layout {
     policy: Vec<u8>,
     cursor: Vec<u8>,
     headers: [[u8; SECTION_HEADER_LEN]; 3],
+    states_len: usize,
     file_len: usize,
 }
 
@@ -405,12 +513,12 @@ struct Layout {
 /// retry by streaming again.
 fn write_atomic_with(
     path: &Path,
-    emit: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+    emit: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> Result<()>,
 ) -> Result<()> {
     let tmp = tmp_sibling(path);
     if let Err(e) = write_and_rename(&tmp, path, emit) {
         let _ = fs::remove_file(&tmp);
-        return Err(e.into());
+        return Err(e);
     }
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         fs::File::open(dir)?.sync_all()?;
@@ -423,14 +531,15 @@ fn write_atomic_with(
 fn write_and_rename(
     tmp: &Path,
     path: &Path,
-    emit: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
-) -> io::Result<()> {
+    emit: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> Result<()>,
+) -> Result<()> {
     let mut file = BufWriter::with_capacity(WRITE_BUFFER_BYTES, fs::File::create(tmp)?);
     emit(&mut |bytes| file.write_all(bytes))?;
     let file = file.into_inner().map_err(io::IntoInnerError::into_error)?;
     file.sync_all()?;
     drop(file);
-    fs::rename(tmp, path)
+    fs::rename(tmp, path)?;
+    Ok(())
 }
 
 /// A section's `len | crc32` header.
@@ -527,17 +636,19 @@ impl Default for RetentionPolicy {
     }
 }
 
-/// Timing and size figures for the most recent successful
-/// [`CheckpointStore::save`] — the raw material for the engines' checkpoint
-/// metrics (encode vs. fsync stalls vs. retry churn).
+/// Timing and size figures for the most recent successful save of a
+/// [`CheckpointStore`] ([`CheckpointStore::save`] or an engine's periodic
+/// save) — the raw material for the engines' checkpoint metrics (encode
+/// vs. fsync stalls vs. retry churn).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SaveStats {
-    /// Seconds spent in the length and CRC pass over the capture, which
-    /// sizes and checksums every section before a byte is written.
+    /// Seconds spent in the length and CRC pass over the payloads (for a
+    /// live tracker, encoding it included), which sizes and checksums every
+    /// section before a byte is written.
     pub encode_secs: f64,
-    /// Seconds spent in the atomic write protocol (temp file, the streamed
-    /// write from the capture, fsync, rename, directory fsync), summed over
-    /// every attempt.
+    /// Seconds spent in the atomic write protocol (temp file, the write
+    /// streamed from the payloads, fsync, rename, directory fsync), summed
+    /// over every attempt.
     pub write_secs: f64,
     /// Failed attempts before the write succeeded (0 for a clean save).
     pub retries: usize,
@@ -623,9 +734,9 @@ impl CheckpointStore {
         self.saves
     }
 
-    /// Encode/write timings of the most recent successful [`Self::save`]
-    /// (`None` before the first). Engines poll this after a periodic
-    /// checkpoint to feed their observability histograms.
+    /// Encode/write timings of the most recent successful save (`None`
+    /// before the first). Engines poll this after a periodic checkpoint to
+    /// feed their observability histograms.
     pub fn last_save_stats(&self) -> Option<SaveStats> {
         self.last_save_stats
     }
@@ -646,9 +757,22 @@ impl CheckpointStore {
     /// directory) if the checkpoint does not fit the format, and the last
     /// attempt's [`TinError::Io`] if every retry failed.
     pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<PathBuf> {
-        let path = self.path_for(checkpoint.cursor.processed);
+        self.save_from(&mut checkpoint.source())
+    }
+
+    /// The save loop behind [`Self::save`] and the engines' periodic saves,
+    /// over either payload source: the length and CRC pass (which refuses
+    /// an oversized section before the directory is touched), then up to
+    /// `retry_attempts` streamed writes with backoff between them, each
+    /// preceded by the fault hook, then [`SaveStats`] and retention.
+    ///
+    /// # Errors
+    /// As [`Self::save`], plus [`TinError::InvalidConfig`] for a live
+    /// tracker that cannot encode its vertex states.
+    pub(crate) fn save_from(&mut self, source: &mut CheckpointSource<'_, '_>) -> Result<PathBuf> {
+        let path = self.path_for(source.cursor.processed);
         let encode_start = Instant::now();
-        let layout = checkpoint.layout()?;
+        let layout = source.layout()?;
         let encode_secs = encode_start.elapsed().as_secs_f64();
         let mut delay = self.retry_backoff;
         let mut last_err = None;
@@ -663,7 +787,7 @@ impl CheckpointStore {
                 Some(hook) => hook().map_err(TinError::from),
                 None => Ok(()),
             }
-            .and_then(|()| write_atomic_with(&path, |sink| checkpoint.emit(&layout, sink)));
+            .and_then(|()| write_atomic_with(&path, |sink| source.emit(&layout, sink)));
             write_secs += write_start.elapsed().as_secs_f64();
             match attempt_result {
                 Ok(()) => {
@@ -1007,19 +1131,41 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt-000000000006.tin");
         let ckpt = sample_checkpoint();
-        let layout = ckpt.layout().unwrap();
+        let mut source = ckpt.source();
+        let layout = source.layout().unwrap();
         let err = write_atomic_with(&path, |sink| {
-            ckpt.emit(&layout, sink)?;
+            source.emit(&layout, sink)?;
             sink(&vec![0; WRITE_BUFFER_BYTES])?;
-            Err(io::Error::other("device full"))
+            Err(io::Error::other("device full").into())
         })
         .unwrap_err();
         assert!(matches!(err, TinError::Io(_)), "{err:?}");
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
 
-        write_atomic_with(&path, |sink| ckpt.emit(&layout, sink)).unwrap();
+        write_atomic_with(&path, |sink| source.emit(&layout, sink)).unwrap();
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         assert_eq!(fs::read(&path).unwrap(), ckpt.encode().unwrap());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A write pass whose states are not as long as the length pass counted
+    /// (the payloads changed between the passes) fails its attempt and
+    /// leaves no file.
+    #[test]
+    fn states_that_change_length_between_passes_fail_the_attempt() {
+        let dir = unique_dir("changed");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt-000000000006.tin");
+        let ckpt = sample_checkpoint();
+        let layout = ckpt.source().layout().unwrap();
+        let mut grown = sample_checkpoint();
+        grown.states[1].1.push(0);
+        let err = write_atomic_with(&path, |sink| grown.source().emit(&layout, sink)).unwrap_err();
+        assert!(
+            matches!(&err, TinError::Io(reason) if reason.contains("length pass")),
+            "{err:?}"
+        );
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -112,6 +112,9 @@ impl DenseProvenance {
     /// Append the checkpoint encoding (dimension + every slot's bit pattern).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         use crate::codec::{put_f64, put_usize};
+        // Room for the dimension, the slots and the one `f64` total the
+        // dense trackers append, so a fresh buffer is sized once, exactly.
+        out.reserve(8 + self.values.len() * 8 + 8);
         put_usize(out, self.values.len());
         for &v in &self.values {
             put_f64(out, v);

@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use tin_obs::{CounterId, GaugeId, HistogramId, Obs, Registry, Telemetry};
 
-use crate::checkpoint::{Checkpoint, CheckpointStore, StreamCursor};
+use crate::checkpoint::{Checkpoint, CheckpointSource, CheckpointStore, Payloads, StreamCursor};
 use crate::error::{Result, TinError};
 use crate::ids::VertexId;
 use crate::interaction::Interaction;
@@ -149,10 +149,13 @@ struct TelemetryState {
 ///
 /// An engine validates each interaction with [`Self::validate`], books it
 /// with [`Self::advance`] and [`Self::add_newborn`], feeds footprint samples
-/// to [`Self::note_footprint`], and after each interaction saves a capture
-/// when [`Self::save_due`] and calls [`Self::emit_interval_telemetry`].
-/// Short of an actual save or telemetry record, these calls neither
-/// allocate nor read the clock.
+/// to [`Self::note_footprint`], and after each interaction calls
+/// [`Self::save`] when [`Self::save_due`], then
+/// [`Self::emit_interval_telemetry`]. A save streams the file from
+/// [`Payloads`]: the sequential engine hands over its live tracker, so its
+/// saves take no capture, while the sharded engine hands over the capture
+/// that becomes its recovery snapshot. Short of an actual save or telemetry
+/// record, these calls neither allocate nor read the clock.
 pub struct RunLedger<M> {
     config: PolicyConfig,
     policy_key: String,
@@ -250,7 +253,7 @@ impl<M> RunLedger<M> {
         }
     }
 
-    /// Save a capture into `store` every `every` interactions (see
+    /// Save the run into `store` every `every` interactions (see
     /// [`Self::save_due`]).
     ///
     /// # Errors
@@ -265,8 +268,8 @@ impl<M> RunLedger<M> {
         Ok(())
     }
 
-    /// Whether the engine should capture and [`Self::save`] now: a store is
-    /// attached and the stream position is a multiple of its interval.
+    /// Whether the engine should [`Self::save`] now: a store is attached and
+    /// the stream position is a multiple of its interval.
     pub fn save_due(&self) -> bool {
         self.durable
             .as_ref()
@@ -284,21 +287,30 @@ impl<M> RunLedger<M> {
         }
     }
 
-    /// Save `checkpoint` into the attached store and record the save's
+    /// Save the run at the current stream position into the attached
+    /// store, streaming the states from `payloads`, and record the save's
     /// encode/write timings, retries and size, with a `checkpoint_save`
-    /// span. Borrows the capture, so the caller may keep it.
+    /// span. The policy and cursor sections come from the ledger, so
+    /// captured payloads must be the state at the current position. The
+    /// store's save loop retries a failed write from the same payloads.
     ///
     /// # Errors
     /// Propagates [`CheckpointStore::save`] failures, and returns
-    /// [`TinError::InvalidConfig`] when no store is attached.
-    pub fn save(&mut self, checkpoint: &Checkpoint) -> Result<()> {
+    /// [`TinError::InvalidConfig`] when no store is attached or a live
+    /// tracker cannot encode its vertex states.
+    pub fn save(&mut self, payloads: Payloads<'_>) -> Result<()> {
         let Some((store, _)) = self.durable.as_mut() else {
             return Err(TinError::InvalidConfig(
                 "no durable checkpoint store attached".into(),
             ));
         };
         let start = Instant::now();
-        store.save(checkpoint)?;
+        store.save_from(&mut CheckpointSource::new(
+            &self.config,
+            self.num_vertices,
+            &self.cursor,
+            payloads,
+        ))?;
         self.saves += 1;
         if let (Some(o), Some(s)) = (self.obs.as_deref_mut(), store.last_save_stats()) {
             let metrics = &mut o.obs.metrics;
@@ -535,8 +547,11 @@ impl ProvenanceEngine {
     }
 
     /// Write a durable [`Checkpoint`] into `store` every `every`
-    /// interactions: full lossless state captures a crashed run can resume
-    /// from with [`Self::resume_from`].
+    /// interactions: full lossless state a crashed run can resume from with
+    /// [`Self::resume_from`]. Each save streams the file straight from the
+    /// live tracker, encoding it vertex by vertex, and takes no capture:
+    /// it needs one write buffer and the largest vertex payload on top of
+    /// the live state.
     ///
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
@@ -664,8 +679,7 @@ impl ProvenanceEngine {
             }
         }
         if self.ledger.save_due() {
-            let checkpoint = self.checkpoint()?;
-            self.ledger.save(&checkpoint)?;
+            self.ledger.save(Payloads::Live(self.tracker.as_mut()))?;
         }
         self.ledger.emit_interval_telemetry()
     }
@@ -1022,14 +1036,15 @@ mod tests {
         assert!(footprint.unwrap().samples >= 3);
         assert!(footprint.unwrap().last > 0);
         // Durable checkpoints every 3 interactions: 2 saves, each timed.
-        assert_eq!(hist("checkpoint_capture_ns").count, 2);
+        // They stream from the live tracker, so no capture is timed.
+        assert_eq!(hist("checkpoint_capture_ns").count, 0);
         assert_eq!(hist("checkpoint_encode_ns").count, 2);
         assert_eq!(hist("checkpoint_write_ns").count, 2);
         // ...and spans on the flight recorder.
         let obs = engine.take_obs().expect("detachable");
-        for span in ["checkpoint_capture", "checkpoint_save"] {
+        for (span, count) in [("checkpoint_capture", 0), ("checkpoint_save", 2)] {
             let spans = obs.trace.events().iter().filter(|e| e.name == span);
-            assert_eq!(spans.count(), 2, "{span}");
+            assert_eq!(spans.count(), count, "{span}");
         }
         assert!(engine.obs().is_none());
 

@@ -139,8 +139,12 @@
 //! every wavefront and advances its epoch clock to the same global stream
 //! position — then collects each shard's owned per-vertex payloads
 //! ([`tin_core::ProvenanceTracker::encode_vertex_state`]) into **one**
-//! shard-count-independent [`Checkpoint`] file, byte-identical to what a
-//! sequential engine at the same stream position captures.
+//! shard-count-independent [`Checkpoint`] file. Its policy and states
+//! sections are byte-identical to what a sequential engine at the same
+//! stream position captures, and so are the cursor's position and flow
+//! counters. The cursor's `peak_footprint_bytes` is each engine's own
+//! footprint sample, so that one field depends on the engine that wrote
+//! the file.
 //! [`ShardedEngine::resume_from`] repartitions such a file across a possibly
 //! *different* shard count: the main thread decodes every payload with a
 //! probe tracker, syncs all shards to the checkpoint's epoch *first* (so
@@ -152,7 +156,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError}
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tin_core::checkpoint::{Checkpoint, CheckpointStore, StreamCursor};
+use tin_core::checkpoint::{Checkpoint, CheckpointStore, Payloads, StreamCursor};
 use tin_core::codec::ByteReader;
 use tin_core::engine::{newborn_quantity, EngineReport, RunLedger, RunMetrics, RunObs};
 use tin_core::error::{Result, TinError};
@@ -1158,7 +1162,7 @@ impl ShardedEngine {
         self.apply_interaction(r)?;
         if self.ledger.save_due() {
             let checkpoint = self.checkpoint_attempt()?;
-            self.ledger.save(&checkpoint)?;
+            self.ledger.save(Payloads::Captured(&checkpoint.states))?;
             // The restore point must never lag the newest durable file:
             // an older in-memory snapshot would need replay-buffer
             // entries this save just made safe to drop.

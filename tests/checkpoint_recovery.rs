@@ -14,6 +14,10 @@
 //!    [`TinError::CorruptCheckpoint`]; recovery falls back to the previous
 //!    retained checkpoint instead of hanging or loading partial state.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
 use proptest::prelude::*;
 use tin::prelude::*;
 use tin_core::checkpoint::{Checkpoint, CheckpointStore, RetentionPolicy, SCHEMA_VERSION};
@@ -108,8 +112,13 @@ proptest! {
             let sharded_ckpt = sharded.checkpoint().unwrap();
             drop(sharded);
 
-            // The captured states are engine-independent: a 2-shard capture
-            // equals a sequential capture, entry for entry.
+            // The policy and states sections are engine-independent: a
+            // 2-shard capture equals a sequential capture, entry for entry.
+            // So do the cursor's position and flow counters; its
+            // `peak_footprint_bytes` is each engine's own footprint sample,
+            // so the peak is engine-specific and not compared.
+            prop_assert_eq!(&seq_ckpt.policy, &sharded_ckpt.policy);
+            prop_assert_eq!(seq_ckpt.num_vertices, sharded_ckpt.num_vertices);
             prop_assert_eq!(
                 &seq_ckpt.states,
                 &sharded_ckpt.states,
@@ -118,6 +127,8 @@ proptest! {
                 k
             );
             prop_assert_eq!(seq_ckpt.cursor.processed, k);
+            prop_assert_eq!(sharded_ckpt.cursor.processed, k);
+            prop_assert_eq!(seq_ckpt.cursor.last_time, sharded_ckpt.cursor.last_time);
             prop_assert_eq!(seq_ckpt.cursor.total_quantity, sharded_ckpt.cursor.total_quantity);
             prop_assert_eq!(seq_ckpt.cursor.newborn_quantity, sharded_ckpt.cursor.newborn_quantity);
 
@@ -372,6 +383,121 @@ fn golden_checkpoints_save_the_encoded_bytes() {
         );
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A stream of `len` valid interactions over [`MAX_VERTICES`] vertices,
+/// non-decreasing in time, drawn from a SplitMix64 sequence seeded with
+/// `seed`. Equal times recur, so time windows close on ties too.
+fn seeded_stream(seed: u64, len: usize) -> Vec<Interaction> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let n = u64::from(MAX_VERTICES);
+    let mut time = 0.0;
+    (0..len)
+        .map(|_| {
+            let src = next() % n;
+            let dst = (src + 1 + next() % (n - 1)) % n;
+            time += (next() % 4) as f64 * 0.75;
+            let qty = 0.01 + (next() % 10_000) as f64 / 100.0;
+            Interaction::new(src as u32, dst as u32, time, qty)
+        })
+        .collect()
+}
+
+/// Run a sequential engine that saves every `every` interactions, with a
+/// twin that captures at the same positions, over `stream`. Each file the
+/// saving engine wrote must equal the twin's `checkpoint().encode()`, and
+/// the saves must leave the state as a run that never saved has it. With
+/// `fail_first_attempt`, the store's fault hook fails the first write
+/// attempt, so that save's retry streams from the live tracker again.
+fn assert_live_saves_match_captures(
+    config: &PolicyConfig,
+    stream: &[Interaction],
+    every: usize,
+    fail_first_attempt: bool,
+) {
+    let n = MAX_VERTICES as usize;
+    let label = format!(
+        "{} (fail first attempt: {fail_first_attempt})",
+        config.key()
+    );
+    let dir = unique_dir(&format!("live_{}_{fail_first_attempt}", config.key()));
+    let mut store = CheckpointStore::open(&dir)
+        .unwrap()
+        .with_retention(RetentionPolicy {
+            max_count: usize::MAX,
+            max_age: None,
+        })
+        .with_retry(2, Duration::from_millis(1));
+    let attempts = Arc::new(AtomicUsize::new(0));
+    let seen = Arc::clone(&attempts);
+    store.set_fault_hook(Box::new(move || {
+        if seen.fetch_add(1, Ordering::SeqCst) == 0 && fail_first_attempt {
+            Err(std::io::Error::other("injected transient fault"))
+        } else {
+            Ok(())
+        }
+    }));
+    let mut saving = ProvenanceEngine::new(config, n)
+        .unwrap()
+        .with_durable_checkpoints(store, every)
+        .unwrap();
+    let mut twin = ProvenanceEngine::new(config, n).unwrap();
+    let mut captures = Vec::new();
+    for r in stream {
+        saving.process(r).unwrap();
+        twin.process(r).unwrap();
+        if twin.cursor().processed.is_multiple_of(every) {
+            captures.push(twin.checkpoint().unwrap().encode().unwrap());
+        }
+    }
+    assert!(!captures.is_empty(), "{label}: no save position");
+    assert_eq!(saving.report().checkpoints_taken, captures.len(), "{label}");
+    let retries = usize::from(fail_first_attempt);
+    assert_eq!(
+        attempts.load(Ordering::SeqCst),
+        captures.len() + retries,
+        "{label}: write attempts"
+    );
+
+    let files = CheckpointStore::open(&dir).unwrap().list().unwrap();
+    assert_eq!(files.len(), captures.len(), "{label}");
+    for (path, capture) in files.iter().zip(&captures) {
+        let saved = std::fs::read(path).unwrap();
+        assert!(saved == *capture, "{label}: {} differs", path.display());
+    }
+
+    let mut reference = ProvenanceEngine::new(config, n).unwrap();
+    reference.process_all(stream).unwrap();
+    assert_matches_reference(
+        (0..n).map(|v| saving.buffered(VertexId::from(v))).collect(),
+        (0..n).map(|v| saving.origins(VertexId::from(v))).collect(),
+        &reference,
+        &label,
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The sequential engine's periodic saves stream from the live tracker and
+/// write the bytes a capture at the same position encodes, under every
+/// policy configuration, including when a save's first attempt fails and
+/// its retry streams again.
+#[test]
+fn live_saves_write_the_captured_bytes_under_every_config() {
+    let stream = seeded_stream(24, 150);
+    let configs = all_configs(MAX_VERTICES as usize);
+    assert_eq!(configs.len(), 14);
+    for config in &configs {
+        assert_live_saves_match_captures(config, &stream, 7, false);
+    }
+    let sparse = PolicyConfig::Plain(SelectionPolicy::ProportionalSparse);
+    assert_live_saves_match_captures(&sparse, &stream, 50, true);
 }
 
 /// A provenance vector stored under the retired dense representation tag
