@@ -9,7 +9,9 @@
 //! `tin-shard` wavefront engine, a durable-checkpoint cost section, a
 //! `recovery_time` section that kills one worker mid-stream on a
 //! self-healing sharded engine and reports the measured recovery-time
-//! objective per snapshot interval, and a `telemetry_overhead` section that
+//! objective per snapshot interval, a `healing_overhead` section that
+//! prices self-healing when no worker dies (2-shard wall time and allocator
+//! peak with and without it), and a `telemetry_overhead` section that
 //! isolates what live JSONL telemetry streaming costs on top of plain
 //! observability. The JSON schema is documented in the repository README
 //! ("Benchmark baseline"); numbers from this emitter are the perf
@@ -594,6 +596,101 @@ fn run_recovery_section(config: &PolicyConfig, w: &Workload, reps: usize) -> Rec
     }
 }
 
+/// Shard count of the healing-overhead section: the 2-shard job of the
+/// end-to-end benchmark.
+const HEALING_SHARDS: usize = 2;
+
+/// A 2-shard engine as `tin-cli run --shards 2` builds it: observability
+/// attached, as crash reporting attaches it, and self-healing under the
+/// CLI's default policy when `healing` is set (`--max-worker-restarts 0`
+/// otherwise).
+fn healing_engine(config: &PolicyConfig, w: &Workload, healing: bool) -> ShardedEngine {
+    let engine = ShardedEngine::new(config, w.num_vertices, HEALING_SHARDS)
+        .expect("benchmark configs are valid")
+        .with_observability(tin_obs::Obs::new())
+        .expect("workers healthy");
+    if healing {
+        engine
+            .with_self_healing(tin_shard::RecoveryPolicy::default())
+            .expect("the default recovery policy is valid")
+    } else {
+        engine
+    }
+}
+
+/// One timed pass of [`healing_engine`]. Construction, which takes the
+/// first recovery snapshot, is excluded, matching [`time_engine_pass`].
+fn time_healing_pass(config: &PolicyConfig, w: &Workload, healing: bool) -> f64 {
+    let mut passes = 0u32;
+    let mut timed = 0.0f64;
+    loop {
+        let mut engine = healing_engine(config, w, healing);
+        let start = Instant::now();
+        engine.process_all(&w.interactions).expect("valid stream");
+        std::hint::black_box(engine.report().expect("workers healthy"));
+        timed += start.elapsed().as_secs_f64();
+        passes += 1;
+        if timed >= MIN_MEASURE_SECS {
+            break;
+        }
+    }
+    timed / f64::from(passes)
+}
+
+/// Allocator peak of one pass of [`healing_engine`], construction
+/// included, and the most payload bytes its recovery snapshot held (the
+/// `recovery_snapshot_bytes` gauge; 0 without healing).
+fn alloc_peak_healing(config: &PolicyConfig, w: &Workload, healing: bool) -> (usize, usize) {
+    let scope = tin_memstats::MemoryScope::start();
+    let mut engine = healing_engine(config, w, healing);
+    engine.process_all(&w.interactions).expect("valid stream");
+    std::hint::black_box(engine.report().expect("workers healthy"));
+    let peak = scope.finish().peak_delta_bytes;
+    let obs = engine
+        .take_obs()
+        .expect("workers healthy")
+        .expect("attached by healing_engine");
+    let held = obs
+        .snapshot()
+        .gauges
+        .iter()
+        .find(|g| g.name == "recovery_snapshot_bytes")
+        .map_or(0, |g| g.max);
+    (peak, held as usize)
+}
+
+struct HealingOverhead {
+    policy: String,
+    plain: TimingStats,
+    healing: TimingStats,
+    plain_peak_alloc_bytes: usize,
+    healing_peak_alloc_bytes: usize,
+    held_snapshot_bytes: usize,
+}
+
+/// Steady-state cost of self-healing for one workload: K interleaved reps
+/// of a plain 2-shard pass and a self-healing one (no worker dies), plus
+/// one untimed allocator-peak pass of each.
+fn run_healing_overhead(config: &PolicyConfig, w: &Workload, reps: usize) -> HealingOverhead {
+    let mut samples: [Vec<f64>; 2] = [Vec::with_capacity(reps), Vec::with_capacity(reps)];
+    for _ in 0..reps {
+        for (healing, s) in [false, true].into_iter().zip(samples.iter_mut()) {
+            s.push(time_healing_pass(config, w, healing));
+        }
+    }
+    let [plain, healing] = &mut samples;
+    let (plain_peak_alloc_bytes, _) = alloc_peak_healing(config, w, false);
+    let (healing_peak_alloc_bytes, held_snapshot_bytes) = alloc_peak_healing(config, w, true);
+    HealingOverhead {
+        policy: config.key(),
+        plain: TimingStats::from_samples(plain),
+        healing: TimingStats::from_samples(healing),
+        plain_peak_alloc_bytes,
+        healing_peak_alloc_bytes,
+        held_snapshot_bytes,
+    }
+}
+
 /// One telemetry-overhead measurement mode for the sequential engine.
 #[derive(Clone, Copy)]
 enum TelemetryMode {
@@ -803,6 +900,7 @@ fn main() {
     let mut scaling_blobs = Vec::new();
     let mut checkpoint_blobs = Vec::new();
     let mut recovery_blobs = Vec::new();
+    let mut healing_blobs = Vec::new();
     let mut telemetry_blobs = Vec::new();
     let mut measured_prop_sparse: Vec<(String, f64)> = Vec::new();
     for kind in kinds {
@@ -1021,6 +1119,49 @@ fn main() {
             recovery_rows.join(",\n      "),
         ));
 
+        // Steady-state cost of self-healing, no worker dying: the 2-shard
+        // job with and without it, same hot-path policy.
+        let heal = run_healing_overhead(&scaling_config, &w, reps);
+        let ratio = |of: f64, over: f64| if over > 0.0 { of / over } else { 0.0 };
+        let overhead_ratio = ratio(heal.healing.median_secs, heal.plain.median_secs);
+        let peak_alloc_over_plain = ratio(
+            heal.healing_peak_alloc_bytes as f64,
+            heal.plain_peak_alloc_bytes as f64,
+        );
+        println!(
+            "    healing overhead ({}, {HEALING_SHARDS} shards): {:.3} → {:.3} ms/pass ({:.2}x), \
+             alloc peak {} → {} ({:.2}x), snapshot {}",
+            heal.policy,
+            heal.plain.median_secs * 1e3,
+            heal.healing.median_secs * 1e3,
+            overhead_ratio,
+            tin_memstats::format_bytes(heal.plain_peak_alloc_bytes),
+            tin_memstats::format_bytes(heal.healing_peak_alloc_bytes),
+            peak_alloc_over_plain,
+            tin_memstats::format_bytes(heal.held_snapshot_bytes),
+        );
+        healing_blobs.push(format!(
+            concat!(
+                "{{\"dataset\": \"{}\", \"policy\": \"{}\", \"shards\": {}, ",
+                "\"snapshot_every\": {}, \"plain_runtime_secs\": {}, ",
+                "\"healing_runtime_secs\": {}, \"overhead_ratio\": {}, ",
+                "\"plain_peak_alloc_bytes\": {}, \"healing_peak_alloc_bytes\": {}, ",
+                "\"held_snapshot_bytes\": {}, \"peak_alloc_over_plain\": {}, \"reps\": {}}}"
+            ),
+            kind.key(),
+            json_escape(&heal.policy),
+            HEALING_SHARDS,
+            tin_shard::RecoveryPolicy::default().snapshot_every,
+            fmt_f64(heal.plain.median_secs),
+            fmt_f64(heal.healing.median_secs),
+            fmt_f64(overhead_ratio),
+            heal.plain_peak_alloc_bytes,
+            heal.healing_peak_alloc_bytes,
+            heal.held_snapshot_bytes,
+            fmt_f64(peak_alloc_over_plain),
+            reps,
+        ));
+
         // Live-telemetry streaming cost on the same hot-path policy.
         let telemetry = run_telemetry_overhead(&scaling_config, &w, reps);
         println!(
@@ -1115,6 +1256,7 @@ fn main() {
             "  \"sharded_scaling\": [\n    {}\n  ],\n",
             "  \"checkpoint_cost\": [\n    {}\n  ],\n",
             "  \"recovery_time\": [\n    {}\n  ],\n",
+            "  \"healing_overhead\": [\n    {}\n  ],\n",
             "  \"telemetry_overhead\": [\n    {}\n  ],\n",
             "  \"prop_sparse_reference\": {{\n",
             "    \"description\": \"pre-optimisation proportional-sparse throughput, ",
@@ -1130,6 +1272,7 @@ fn main() {
         scaling_blobs.join(",\n    "),
         checkpoint_blobs.join(",\n    "),
         recovery_blobs.join(",\n    "),
+        healing_blobs.join(",\n    "),
         telemetry_blobs.join(",\n    "),
         speedups.join(",\n      "),
     );

@@ -107,23 +107,24 @@
 //! applied interaction, live or replayed, as **dirty**. A refresh then
 //! runs in three steps:
 //!
-//! 1. it quiesces, then sends each shard the dirty vertices it owns, each
-//!    with that vertex's **spare** buffer (the payload the previous refresh
-//!    replaced);
-//! 2. each shard clears those buffers and re-encodes into them, so a
-//!    steady-state refresh allocates nothing per vertex;
+//! 1. it quiesces, then sends each shard the dirty vertices it owns;
+//! 2. each shard encodes each of them into a new buffer, which the
+//!    encoders size exactly;
 //! 3. only once every shard has answered does the coordinator swap the new
-//!    payloads into the held [`Checkpoint`], keep the old ones as spares,
-//!    advance the cursor and clear the dirty set. A worker that dies
-//!    mid-capture therefore leaves the previous snapshot, the dirty set and
-//!    the replay buffer intact, and recovery starts from them.
+//!    payloads into the held [`Checkpoint`], drop the payloads they
+//!    replace, advance the cursor and clear the dirty set. A worker that
+//!    dies mid-capture therefore leaves the previous snapshot, the dirty
+//!    set and the replay buffer intact, and recovery starts from them.
+//!
+//! So the snapshot is one copy of the state, each payload in the buffer
+//! its own encode allocated, and a refresh holds the live state, that copy
+//! and the dirty vertices' new payloads. Each refresh allocates one buffer
+//! per dirty vertex and frees the one it replaces.
 //!
 //! Windowed and time-windowed policies are the fallback: their epoch
 //! resets rewrite every vertex, so each of their refreshes is a full
-//! capture. Durable saves and [`ShardedEngine::checkpoint`] are full
-//! captures too. Every full capture encodes into the spare buffers it
-//! finds. When it replaces the recovery snapshot, the buffers of the
-//! snapshot it replaces become the spares.
+//! capture, which replaces the held snapshot once every shard has
+//! answered. [`ShardedEngine::checkpoint`] is a full capture too.
 //!
 //! Respawns draw on a budget ([`RecoveryPolicy::max_worker_restarts`],
 //! exponential backoff): a worker that dies *during* recovery consumes
@@ -144,7 +145,17 @@
 //! stream position captures, and so are the cursor's position and flow
 //! counters. The cursor's `peak_footprint_bytes` is each engine's own
 //! footprint sample, so that one field depends on the engine that wrote
-//! the file.
+//! the file. A pool respawned by recovery restarts its footprint samples
+//! too, so after a heal that field can also differ from an undisturbed
+//! run's files; every other byte is the same.
+//!
+//! Durable periodic saves ([`ShardedEngine::with_durable_checkpoints`])
+//! take a full capture and stream the file from it. With self-healing on,
+//! a save instead refreshes the recovery snapshot at its position, as
+//! above (dirty vertices only, a full capture for windowed policies), so
+//! the restore point never lags the newest file. It then streams the file
+//! from the snapshot's payloads ([`Payloads::Captured`]).
+//!
 //! [`ShardedEngine::resume_from`] repartitions such a file across a possibly
 //! *different* shard count: the main thread decodes every payload with a
 //! probe tracker, syncs all shards to the checkpoint's epoch *first* (so
@@ -215,7 +226,9 @@ pub struct RecoveryPolicy {
     /// Interactions between two in-memory recovery snapshots. This bounds
     /// both the replay buffer's memory and the worst-case replay cost of a
     /// recovery; smaller values trade steady-state snapshot overhead for a
-    /// tighter recovery-time objective.
+    /// tighter recovery-time objective. It does not change the snapshot's
+    /// own memory: one exact-size payload per vertex, plus the new payloads
+    /// of the vertices dirtied since the last refresh while one runs.
     pub snapshot_every: usize,
     /// Declare a worker *hung* — and recover as if it had died — when a
     /// blocking coordinator receive exceeds this. `None` (the default)
@@ -359,10 +372,10 @@ enum ToShard {
     /// Buffered quantities of every vertex this shard owns, in one message.
     QueryBufferedAll,
     QueryFootprint,
-    /// Checkpoint capture: re-encode the state of each listed vertex (all
-    /// owned by this shard) into the buffer it travels with, clearing the
-    /// buffer first, and send the list back. The engine quiesces first, so
-    /// every shard captures at the identical global stream position.
+    /// Checkpoint capture: encode the state of each listed vertex (all
+    /// owned by this shard) into the empty buffer it travels with, and send
+    /// the list back. The engine quiesces first, so every shard captures at
+    /// the identical global stream position.
     CaptureStates(Vec<(u32, Vec<u8>)>),
     /// Recovery: install one decoded vertex state on its (new) owner. Sent
     /// strictly after the epoch [`ToShard::Sync`], so resets fired by the
@@ -519,6 +532,8 @@ struct ShardMetrics {
     snapshot_vertices: CounterId,
     /// Payload bytes those re-encodes produced.
     snapshot_bytes: CounterId,
+    /// Payload bytes the recovery snapshot holds after each refresh.
+    held_bytes: GaugeId,
 }
 
 impl ShardMetrics {
@@ -546,6 +561,7 @@ impl ShardMetrics {
             recovery_ns: m.histogram("recovery_ns", "ns"),
             snapshot_vertices: m.counter("recovery_snapshot_vertices_total", "vertices"),
             snapshot_bytes: m.counter("recovery_snapshot_encoded_bytes", "bytes"),
+            held_bytes: m.gauge("recovery_snapshot_bytes", "bytes"),
         };
         RunObs { obs, ids, run }
     }
@@ -556,67 +572,59 @@ impl ShardMetrics {
 /// module docs).
 struct RecoverySnapshot {
     /// A full capture at the stream position the replay buffer starts from.
+    /// Each payload is the buffer its vertex's own encode allocated.
     checkpoint: Checkpoint,
     /// `dirty[v]`: an interaction applied since `checkpoint` was taken
     /// touched `v`, so its payload may be stale. No other payload can be.
     dirty: Vec<bool>,
-    /// Per vertex, the payload buffer the last refresh replaced. The next
-    /// capture of that vertex re-encodes into it instead of allocating.
-    spares: Vec<Vec<u8>>,
 }
 
 impl RecoverySnapshot {
     fn new(checkpoint: Checkpoint) -> Self {
-        let n = checkpoint.num_vertices;
         RecoverySnapshot {
+            dirty: vec![false; checkpoint.num_vertices],
             checkpoint,
-            dirty: vec![false; n],
-            spares: vec![Vec::new(); n],
         }
     }
 
-    /// Capture requests for the dirty vertices, each with its spare buffer.
-    fn take_dirty_spares(&mut self) -> impl Iterator<Item = (u32, Vec<u8>)> + '_ {
+    /// The payload bytes the snapshot holds.
+    fn payload_bytes(&self) -> usize {
+        self.checkpoint.states.iter().map(|(_, p)| p.len()).sum()
+    }
+
+    /// The vertices whose payloads may be stale.
+    fn dirty_vertices(&self) -> impl Iterator<Item = u32> + '_ {
         (0u32..)
-            .zip(self.dirty.iter().zip(&mut self.spares))
-            .filter_map(|(v, (&dirty, spare))| dirty.then(|| (v, std::mem::take(spare))))
+            .zip(&self.dirty)
+            .filter_map(|(v, &dirty)| dirty.then_some(v))
     }
 
-    /// Hold `checkpoint`, a full capture at the current stream position, in
-    /// place of the current one, whose payload buffers become the spares.
-    fn replace(&mut self, checkpoint: Checkpoint) {
-        let old = std::mem::replace(&mut self.checkpoint, checkpoint);
-        for (v, bytes) in old.states {
-            self.spares[v as usize] = bytes;
-        }
-        self.dirty.fill(false);
-    }
-
-    /// Swap freshly encoded payloads in, keep the ones they replace as
-    /// spares, and move the cursor to the capture's position. Returns the
-    /// number of payload bytes swapped in.
+    /// Swap freshly encoded payloads in, dropping the ones they replace,
+    /// and move the cursor to the capture's position. Returns the number
+    /// of payload bytes swapped in.
     fn patch(&mut self, encoded: Vec<(u32, Vec<u8>)>, cursor: StreamCursor) -> usize {
-        let mut bytes = 0;
+        let mut swapped_in = 0;
         for (v, payload) in encoded {
-            bytes += payload.len();
+            swapped_in += payload.len();
             let held = &mut self.checkpoint.states[v as usize];
             debug_assert_eq!(held.0, v, "checkpoint states are indexed by vertex");
-            self.spares[v as usize] = std::mem::replace(&mut held.1, payload);
+            held.1 = payload;
         }
         self.checkpoint.cursor = cursor;
         self.dirty.fill(false);
-        bytes
+        swapped_in
     }
 }
 
-/// Route `(vertex, target buffer)` capture requests to the owning shards.
+/// Route capture requests for `vertices` to the owning shards, each with
+/// an empty buffer for its payload.
 fn route_captures(
     num_shards: usize,
-    requests: impl Iterator<Item = (u32, Vec<u8>)>,
+    vertices: impl Iterator<Item = u32>,
 ) -> Vec<Vec<(u32, Vec<u8>)>> {
     let mut per_shard = vec![Vec::new(); num_shards];
-    for (v, buf) in requests {
-        per_shard[shard_of(VertexId::new(v), num_shards)].push((v, buf));
+    for v in vertices {
+        per_shard[shard_of(VertexId::new(v), num_shards)].push((v, Vec::new()));
     }
     per_shard
 }
@@ -716,9 +724,13 @@ impl ShardedEngine {
     }
 
     /// Write a durable [`Checkpoint`] into `store` every `every`
-    /// interactions. Each capture quiesces the engine (all shards reach the
+    /// interactions. Each save quiesces the engine (all shards reach the
     /// same stream position), so pick an interval coarse enough for the
-    /// workload — the CLI default is 10 000.
+    /// workload — the CLI default is 1000. Without self-healing a save
+    /// takes a full capture and streams the file from it; with
+    /// self-healing it refreshes the recovery snapshot at its position and
+    /// streams the file from the snapshot instead, so it holds no second
+    /// copy of the state (see "Durable checkpoints" in the module docs).
     ///
     /// # Errors
     /// Returns [`TinError::InvalidConfig`] if `every` is zero.
@@ -783,7 +795,10 @@ impl ShardedEngine {
     ///
     /// Seeds the restore point with an immediate snapshot, so an engine
     /// resumed mid-stream ([`Self::resume_from`]) never falls back to
-    /// position zero.
+    /// position zero. The engine then holds one encoded copy of its state
+    /// besides the live one, one exact-size payload per vertex; each
+    /// refresh replaces the payloads of the vertices dirtied since the
+    /// last one.
     ///
     /// # Errors
     /// [`TinError::InvalidConfig`] if `policy.snapshot_every` is zero;
@@ -795,8 +810,7 @@ impl ShardedEngine {
             ));
         }
         self.recovery = Some(policy);
-        let snapshot = self.checkpoint_attempt()?;
-        self.adopt_snapshot(snapshot);
+        self.refresh_snapshot()?;
         Ok(self)
     }
 
@@ -905,16 +919,10 @@ impl ShardedEngine {
     fn checkpoint_attempt(&mut self) -> Result<Checkpoint> {
         self.quiesce()?;
         let start = Instant::now();
-        let requests = match self.recovery_snapshot.as_mut() {
-            Some(held) => route_captures(
-                self.num_shards,
-                (0u32..).zip(held.spares.iter_mut().map(std::mem::take)),
-            ),
-            None => route_captures(
-                self.num_shards,
-                (0..self.ledger.num_vertices()).map(|v| (v as u32, Vec::new())),
-            ),
-        };
+        let requests = route_captures(
+            self.num_shards,
+            (0..self.ledger.num_vertices()).map(|v| v as u32),
+        );
         let mut states = self.capture_states(requests)?;
         // Each shard reports its owned subset; merge into global vertex
         // order so the file is independent of the shard count that wrote it.
@@ -930,17 +938,16 @@ impl ShardedEngine {
     }
 
     /// Refresh the recovery snapshot in place: re-encode only the dirty
-    /// vertices, into their spare buffers, and swap the results in once
-    /// every shard has answered. Returns the vertices and payload bytes
-    /// re-encoded.
+    /// vertices and swap the results in once every shard has answered.
+    /// Returns the vertices and payload bytes re-encoded.
     fn patch_snapshot_attempt(&mut self) -> Result<(usize, usize)> {
         self.quiesce()?;
         let start = Instant::now();
         let held = self
             .recovery_snapshot
-            .as_mut()
+            .as_ref()
             .expect("only a held snapshot is patched");
-        let requests = route_captures(self.num_shards, held.take_dirty_spares());
+        let requests = route_captures(self.num_shards, held.dirty_vertices());
         let encoded = self.capture_states(requests)?;
         let vertices = encoded.len();
         let cursor = self.ledger.cursor().clone();
@@ -1142,6 +1149,11 @@ impl ShardedEngine {
                 Err(e) => return Err(e),
             }
         }
+        // Saved once the interaction is in: a heal during the save replays
+        // up to this position again, and the save is retried there.
+        if self.ledger.save_due() {
+            self.with_heal(Self::save_attempt)?;
+        }
         // Worker metrics in an interval record are as of the last barrier —
         // the coordinator does not force a quiesce just to emit.
         self.ledger.emit_interval_telemetry()
@@ -1159,22 +1171,37 @@ impl ShardedEngine {
             self.refresh_snapshot_if_due()?;
             self.replay_buffer.push_back(*r);
         }
-        self.apply_interaction(r)?;
-        if self.ledger.save_due() {
-            let checkpoint = self.checkpoint_attempt()?;
-            self.ledger.save(Payloads::Captured(&checkpoint.states))?;
-            // The restore point must never lag the newest durable file:
-            // an older in-memory snapshot would need replay-buffer
-            // entries this save just made safe to drop.
-            self.adopt_snapshot(checkpoint);
+        self.apply_interaction(r)
+    }
+
+    /// One attempt at the durable save due at the current stream position
+    /// ([`Self::process`] owns the heal-and-retry loop).
+    fn save_attempt(&mut self) -> Result<()> {
+        match self.recovery {
+            // The restore point must never lag the newest durable file: an
+            // older in-memory snapshot would need replay-buffer entries this
+            // save makes safe to drop. So the save refreshes it and streams
+            // the file from its payloads.
+            Some(_) => {
+                self.refresh_snapshot()?;
+                let held = self
+                    .recovery_snapshot
+                    .as_ref()
+                    .expect("a refresh leaves a snapshot");
+                self.ledger
+                    .save(Payloads::Captured(&held.checkpoint.states))
+            }
+            None => {
+                let checkpoint = self.checkpoint_attempt()?;
+                self.ledger.save(Payloads::Captured(&checkpoint.states))
+            }
         }
-        Ok(())
     }
 
     /// Flow accounting + wavefront scheduling for one (validated)
     /// interaction — the write path shared by live processing and recovery
-    /// replay (replay must not re-enter the buffer/durable bookkeeping of
-    /// [`Self::process_attempt`]).
+    /// replay (replay must not re-enter the replay-buffer and durable-save
+    /// bookkeeping of [`Self::process`]).
     fn apply_interaction(&mut self, r: &Interaction) -> Result<()> {
         if let Some(held) = self.recovery_snapshot.as_mut() {
             held.dirty[r.src.index()] = true;
@@ -1649,8 +1676,7 @@ impl ShardedEngine {
 
     /// Refresh the in-memory recovery snapshot once the replay buffer hits
     /// its bound ([`RecoveryPolicy::snapshot_every`]) — the cost that keeps
-    /// both replay length and buffer memory bounded. The first snapshot and
-    /// every windowed-policy refresh are full captures; the rest patch.
+    /// both replay length and buffer memory bounded.
     fn refresh_snapshot_if_due(&mut self) -> Result<()> {
         let Some(policy) = &self.recovery else {
             return Ok(());
@@ -1658,36 +1684,37 @@ impl ShardedEngine {
         if self.recovery_snapshot.is_some() && self.replay_buffer.len() < policy.snapshot_every {
             return Ok(());
         }
+        self.refresh_snapshot()
+    }
+
+    /// Refresh the recovery snapshot at the current stream position, drop
+    /// the replay prefix it covers, and record what the refresh re-encoded
+    /// and what the snapshot now holds. The first snapshot and every
+    /// windowed-policy refresh are full captures, which replace the held
+    /// snapshot once complete; the rest patch.
+    fn refresh_snapshot(&mut self) -> Result<()> {
         // Epoch resets of windowed policies rewrite every vertex, so only
         // the other policies can patch the dirty vertices alone.
         let patchable = EpochRule::for_policy(self.ledger.config()) == EpochRule::None;
         let (vertices, bytes) = if patchable && self.recovery_snapshot.is_some() {
             self.patch_snapshot_attempt()?
         } else {
-            let snapshot = self.checkpoint_attempt()?;
-            let bytes = snapshot.states.iter().map(|(_, b)| b.len()).sum();
-            self.adopt_snapshot(snapshot);
+            let snapshot = RecoverySnapshot::new(self.checkpoint_attempt()?);
+            let bytes = snapshot.payload_bytes();
+            self.replay_buffer.clear();
+            self.recovery_snapshot = Some(snapshot);
             (self.ledger.num_vertices(), bytes)
         };
         if let Some(o) = self.ledger.obs_mut() {
+            let held = self
+                .recovery_snapshot
+                .as_ref()
+                .map_or(0, RecoverySnapshot::payload_bytes);
             o.obs.metrics.add(o.ids.snapshot_vertices, vertices as u64);
             o.obs.metrics.add(o.ids.snapshot_bytes, bytes as u64);
+            o.obs.metrics.set_gauge(o.ids.held_bytes, held as u64);
         }
         Ok(())
-    }
-
-    /// Install `snapshot` (a full capture at the current stream position)
-    /// as the recovery restore point and drop the replay prefix it covers.
-    fn adopt_snapshot(&mut self, snapshot: Checkpoint) {
-        if self.recovery.is_none() {
-            return;
-        }
-        debug_assert_eq!(snapshot.cursor.processed, self.ledger.cursor().processed);
-        self.replay_buffer.clear();
-        match self.recovery_snapshot.as_mut() {
-            Some(held) => held.replace(snapshot),
-            None => self.recovery_snapshot = Some(RecoverySnapshot::new(snapshot)),
-        }
     }
 
     /// The poisoned-engine check every public operation performs first.
@@ -1935,7 +1962,6 @@ fn shard_worker(
             ToShard::CaptureStates(mut entries) => {
                 for (v, bytes) in &mut entries {
                     debug_assert_eq!(shard_of(VertexId::new(*v), peers.len()), shard_id);
-                    bytes.clear();
                     let supported = tracker.encode_vertex_state(VertexId::new(*v), bytes);
                     assert!(supported, "factory trackers support durable checkpoints");
                 }
@@ -2214,8 +2240,7 @@ mod tests {
     /// After every refresh the held recovery snapshot equals, byte for
     /// byte, a full capture at the same stream position — for every
     /// factory policy and shard count, whether the refresh patched the
-    /// dirty vertices into reused buffers or (windowed policies) re-encoded
-    /// everything.
+    /// dirty vertices in or (windowed policies) re-encoded everything.
     #[test]
     fn refreshed_snapshot_equals_a_full_capture() {
         let n = 14usize;
@@ -2242,8 +2267,8 @@ mod tests {
                     }
                     refreshes += 1;
                     // Capture the reference with the snapshot detached, so
-                    // it neither reads nor takes the spares the next
-                    // refresh reuses.
+                    // the capture cannot touch what the next refresh
+                    // patches.
                     let held = engine.recovery_snapshot.take().unwrap();
                     let full = engine.checkpoint_attempt().unwrap();
                     assert_eq!(held.checkpoint.cursor, full.cursor, "cursor: {context}");
@@ -2259,10 +2284,11 @@ mod tests {
         }
     }
 
-    /// A patch re-encodes only the vertices touched since the last refresh,
-    /// each into its spare buffer, cleared first.
+    /// A patch replaces only the payloads of the vertices touched since the
+    /// last refresh, each with a buffer of exactly its own size, and leaves
+    /// every other payload where it was.
     #[test]
-    fn patch_reencodes_only_dirty_vertices_into_spare_buffers() {
+    fn patch_replaces_only_dirty_payloads_with_exact_size_buffers() {
         let config = PolicyConfig::Plain(tin_core::policy::SelectionPolicy::ProportionalSparse);
         let mut engine = ShardedEngine::new(&config, 8, 2)
             .unwrap()
@@ -2276,24 +2302,30 @@ mod tests {
         let r = |s: u32, d: u32, t: f64| Interaction::new(s, d, t, 1.0 + t);
         engine.process_all(&[r(0, 1, 1.0), r(1, 2, 2.0)]).unwrap();
         engine.refresh_snapshot_if_due().unwrap();
-        let held = engine.recovery_snapshot.as_mut().unwrap();
+        let held = engine.recovery_snapshot.as_ref().unwrap();
         assert_eq!(held.checkpoint.cursor.processed, 2);
-        // Vertices 0, 1 and 2 were patched: their old payloads are spares.
-        assert!((0..3).all(|v| held.spares[v].capacity() > 0));
-        assert_eq!(held.spares[5].capacity(), 0, "vertex 5 was never touched");
-        // Plant a roomy spare full of junk for vertex 1.
-        let mut planted = Vec::with_capacity(4096);
-        planted.resize(100, 0xEE);
-        let planted_ptr = planted.as_ptr();
-        held.spares[1] = planted;
+        let addresses: Vec<*const u8> = held
+            .checkpoint
+            .states
+            .iter()
+            .map(|(_, p)| p.as_ptr())
+            .collect();
 
+        // Dirties vertices 1, 3 and 4. The new payloads are encoded while
+        // the old ones are still held, so a replaced payload cannot come
+        // back at its old address.
         engine.process_all(&[r(1, 3, 3.0), r(4, 1, 4.0)]).unwrap();
         engine.refresh_snapshot_if_due().unwrap();
         let held = engine.recovery_snapshot.take().unwrap();
         assert_eq!(held.checkpoint.cursor.processed, 4);
-        assert_eq!(held.checkpoint.states[1].1.as_ptr(), planted_ptr);
+        for (v, payload) in &held.checkpoint.states {
+            let replaced = payload.as_ptr() != addresses[*v as usize];
+            assert_eq!(replaced, [1, 3, 4].contains(v), "vertex {v}");
+            assert_eq!(payload.capacity(), payload.len(), "vertex {v}");
+        }
+        let held_bytes = held.payload_bytes();
         let full = engine.checkpoint_attempt().unwrap();
-        assert!(held.checkpoint.states == full.states, "junk was cleared");
+        assert!(held.checkpoint.states == full.states);
         engine.recovery_snapshot = Some(held);
 
         let obs = engine.take_obs().unwrap().unwrap();
@@ -2307,5 +2339,11 @@ mod tests {
         };
         assert_eq!(counter("recovery_snapshot_vertices_total"), 3 + 3);
         assert!(counter("recovery_snapshot_encoded_bytes") > 0);
+        let gauge = snap
+            .gauges
+            .iter()
+            .find(|g| g.name == "recovery_snapshot_bytes")
+            .unwrap();
+        assert_eq!((gauge.last, gauge.samples), (held_bytes as u64, 2));
     }
 }

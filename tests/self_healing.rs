@@ -10,9 +10,10 @@
 //! two workers dying in the same wavefront (idempotent poisoning in both
 //! fail-fast and healing modes), a worker dying *during* recovery
 //! (respawn-within-respawn up to the budget), recovery with durable
-//! checkpointing disabled (the in-memory snapshot path), death after the
-//! final wavefront but before the last sync barrier, hang detection, and
-//! budget exhaustion falling back to the poison path.
+//! checkpointing disabled (the in-memory snapshot path), durable files
+//! written across a heal, a worker lost during a durable save, death after
+//! the final wavefront but before the last sync barrier, hang detection,
+//! and budget exhaustion falling back to the poison path.
 
 use std::time::Duration;
 
@@ -442,7 +443,7 @@ fn death_between_final_wavefront_and_last_barrier_heals_on_report() {
 
 #[test]
 fn heals_with_durable_checkpoints_enabled_and_keeps_saving() {
-    use tin::core::checkpoint::CheckpointStore;
+    use tin::core::checkpoint::{Checkpoint, CheckpointStore, StreamCursor};
     with_watchdog(|| {
         let dir =
             std::env::temp_dir().join(format!("tin_self_heal_durable_{}", std::process::id()));
@@ -472,6 +473,86 @@ fn heals_with_durable_checkpoints_enabled_and_keeps_saving() {
         assert!(engine.recovery_stats().replayed_interactions <= 10);
         let report = engine.report().unwrap();
         assert!(report.checkpoints_taken >= 4, "saves continued after heal");
+
+        // Every retained file, written before or after the heal, holds what
+        // a sequential engine captures at the same position. Only the
+        // cursor's peak footprint may differ: each engine samples its own,
+        // and a respawned pool restarts its samples.
+        let files = CheckpointStore::open(&dir).unwrap().list().unwrap();
+        assert_eq!(files.len(), 4, "the default retention keeps four files");
+        let without_peak = |cursor: &StreamCursor| StreamCursor {
+            peak_footprint_bytes: 0,
+            ..cursor.clone()
+        };
+        let mut reference = ProvenanceEngine::new(&config, n).unwrap();
+        let mut position = 0;
+        for path in &files {
+            let file = Checkpoint::read(path).unwrap();
+            let at = file.cursor.processed;
+            reference.process_all(&stream[position..at]).unwrap();
+            position = at;
+            let expected = reference.checkpoint().unwrap();
+            let context = path.display();
+            assert_eq!(file.policy, expected.policy, "{context}");
+            assert_eq!(file.num_vertices, expected.num_vertices, "{context}");
+            assert_eq!(
+                without_peak(&file.cursor),
+                without_peak(&expected.cursor),
+                "{context}"
+            );
+            assert!(file.states == expected.states, "states: {context}");
+        }
+        assert_eq!(position, stream.len(), "the newest file is at the end");
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// A worker lost while a durable save refreshes the recovery snapshot is
+/// replaced, and the save is still written at its position. The worker
+/// hangs rather than dies, so the loss surfaces at the save's quiesce and
+/// not before the interaction that makes the save due is applied.
+#[test]
+fn a_worker_lost_during_a_durable_save_does_not_skip_the_save() {
+    use tin::core::checkpoint::CheckpointStore;
+    with_watchdog(|| {
+        let dir = std::env::temp_dir().join(format!("tin_self_heal_save_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let n = MAX_VERTICES as usize;
+        let config = PolicyConfig::Plain(SelectionPolicy::ProportionalSparse);
+        let stream: Vec<Interaction> = (0..30u32)
+            .map(|i| Interaction::new(i % 9, (i % 9) + 1, f64::from(i), 1.0))
+            .collect();
+        let policy = RecoveryPolicy {
+            hang_timeout: Some(Duration::from_millis(100)),
+            ..healing(3, 1024)
+        };
+        let store = CheckpointStore::open(&dir).unwrap();
+        let mut engine = ShardedEngine::new(&config, n, 2)
+            .unwrap()
+            .with_self_healing(policy)
+            .unwrap()
+            .with_durable_checkpoints(store, 10)
+            .unwrap();
+        engine.process_all(&stream[..9]).unwrap();
+        // The 10th interaction makes a save due; its refresh times out.
+        engine.inject_worker_stall(0, 1500).unwrap();
+        engine.process_all(&stream[9..]).unwrap();
+        assert_eq!(engine.recovery_stats().recoveries, 1);
+        let names: Vec<String> = CheckpointStore::open(&dir)
+            .unwrap()
+            .list()
+            .unwrap()
+            .iter()
+            .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "ckpt-000000000010.tin",
+                "ckpt-000000000020.tin",
+                "ckpt-000000000030.tin"
+            ]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     });
 }
