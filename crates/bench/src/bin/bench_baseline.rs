@@ -23,7 +23,7 @@
 //! reported the fastest, which left ±3× run-to-run swings on the
 //! `grouped`/`selective`/`windowed` rows: a frequency ramp or a background
 //! task during one policy's window skews all of its reps at once.
-//! Repetitions are now **interleaved** `profile_sparse`-style — rep 0 of
+//! Repetitions are now **interleaved** — rep 0 of
 //! every policy, then rep 1 of every policy, … — so slow phases of the
 //! machine spread across all policies instead of landing on one, and each
 //! row reports the **median** per-pass time with the min/max range
@@ -58,15 +58,6 @@ const MIN_MEASURE_SECS: f64 = 0.05;
 /// Shard counts measured by the scaling section (sequential is measured
 /// separately as the baseline).
 const SCALING_SHARDS: &[usize] = &[1, 2, 4, 8];
-
-/// Pre-optimisation reference throughput (interactions/sec) for the
-/// proportional-sparse hot path, measured by this same binary at the PR 1
-/// tree (commit a14c5bc) with `TIN_SCALE=small`, `TIN_SEED=42`, on the PR 2
-/// build machine. Recorded here so every later run reports a
-/// machine-readable speedup against the pre-change baseline.
-const PRE_CHANGE_PROP_SPARSE: &[(&str, f64)] = &[("bitcoin", PRE_BITCOIN), ("taxis", PRE_TAXIS)];
-const PRE_BITCOIN: f64 = 9_720.99;
-const PRE_TAXIS: f64 = 18_222_767.42;
 
 /// Median / min / max of a set of per-pass timings (seconds).
 #[derive(Clone, Copy, Debug)]
@@ -902,7 +893,6 @@ fn main() {
     let mut recovery_blobs = Vec::new();
     let mut healing_blobs = Vec::new();
     let mut telemetry_blobs = Vec::new();
-    let mut measured_prop_sparse: Vec<(String, f64)> = Vec::new();
     for kind in kinds {
         let w = Workload::generate(kind, scale);
         println!("\n  {}", w.describe());
@@ -920,9 +910,6 @@ fn main() {
                 row.latency.p99_ns,
                 tin_memstats::format_bytes(row.peak_footprint_bytes),
             );
-            if row.key == "prop_sparse" {
-                measured_prop_sparse.push((kind.key().to_string(), median));
-            }
         }
         let policy_blobs: Vec<String> = rows
             .iter()
@@ -1216,37 +1203,10 @@ fn main() {
         ));
     }
 
-    // Speedup of the proportional-sparse hot path vs. the pre-change
-    // reference (null outside the reference scale or when no reference
-    // number was recorded for a dataset).
-    let mut speedups = Vec::new();
-    for (dataset, now) in &measured_prop_sparse {
-        let pre = PRE_CHANGE_PROP_SPARSE
-            .iter()
-            .find(|(k, _)| k == dataset)
-            .map(|(_, v)| *v)
-            .unwrap_or(f64::NAN);
-        let ratio = if pre.is_finite() && pre > 0.0 && scale == ScaleProfile::Small {
-            now / pre
-        } else {
-            f64::NAN
-        };
-        speedups.push(format!(
-            "{{\"dataset\": \"{}\", \"pre_change_interactions_per_sec\": {}, \"measured_interactions_per_sec\": {}, \"speedup\": {}}}",
-            json_escape(dataset),
-            fmt_f64(pre),
-            fmt_f64(*now),
-            fmt_f64(ratio),
-        ));
-        if ratio.is_finite() {
-            println!("\n  prop_sparse speedup on {dataset}: {ratio:.2}x vs pre-change baseline");
-        }
-    }
-
     let json = format!(
         concat!(
             "{{\n",
-            "  \"schema_version\": 5,\n",
+            "  \"schema_version\": 6,\n",
             "  \"generated_by\": \"bench_baseline\",\n",
             "  \"scale\": \"{}\",\n",
             "  \"seed\": {},\n",
@@ -1257,12 +1217,7 @@ fn main() {
             "  \"checkpoint_cost\": [\n    {}\n  ],\n",
             "  \"recovery_time\": [\n    {}\n  ],\n",
             "  \"healing_overhead\": [\n    {}\n  ],\n",
-            "  \"telemetry_overhead\": [\n    {}\n  ],\n",
-            "  \"prop_sparse_reference\": {{\n",
-            "    \"description\": \"pre-optimisation proportional-sparse throughput, ",
-            "measured at the PR 1 tree (commit a14c5bc) with TIN_SCALE=small TIN_SEED=42\",\n",
-            "    \"entries\": [\n      {}\n    ]\n",
-            "  }}\n",
+            "  \"telemetry_overhead\": [\n    {}\n  ]\n",
             "}}\n"
         ),
         scale_key,
@@ -1274,7 +1229,6 @@ fn main() {
         recovery_blobs.join(",\n    "),
         healing_blobs.join(",\n    "),
         telemetry_blobs.join(",\n    "),
-        speedups.join(",\n      "),
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {
         eprintln!("failed to write {out_path}: {e}");

@@ -32,8 +32,8 @@
 //!   data model (Section 3 of the paper).
 //! * [`buffer`] — heap and queue buffers of provenance triples/pairs.
 //! * [`dense_vec`], [`sparse_vec`], [`simd`] — provenance vectors for
-//!   proportional selection (fixed dense with SIMD kernels, and
-//!   zero-allocation sparse lists).
+//!   proportional selection (fixed dense with SIMD kernels, and sparse
+//!   lists with in-place merges and bounded spare capacity).
 //! * [`tracker`] — one tracker per selection policy and representation
 //!   (Sections 4–6): `NoProv`, least/most-recently-born, FIFO/LIFO,
 //!   proportional with dense rows (over all vertices, a selective subset

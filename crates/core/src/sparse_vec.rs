@@ -19,19 +19,18 @@
 //! encoding caps concrete vertex ids at `2³² − 2¹⁶` and group ids at
 //! `2¹⁶ − 2` — far beyond the paper's largest dataset (12M vertices).
 //!
-//! ## Zero-allocation kernels
+//! ## Allocation and capacity
 //!
 //! List merges are the hottest operation in the whole system: proportional
 //! tracking performs one merge per interaction, and on Bitcoin-shaped
-//! streams the lists grow to thousands of entries (Figure 6). The kernels
-//! here therefore never allocate a per-interaction buffer:
+//! streams the lists grow to thousands of entries (Figure 6). A merge that
+//! adds no origin to the destination therefore allocates nothing:
 //!
 //! * [`SparseProvenance::merge_add`] / [`merge_add_scaled`] merge *in
 //!   place* on the destination: source origins that already exist are a
-//!   pure `+=` on the matched prefix, small tails are inserted directly,
-//!   and only a large unmatched remainder goes through a reusable
-//!   thread-local buffer (the former implementation rebuilt a
-//!   freshly-allocated list on every interaction);
+//!   pure `+=` on the matched prefix and small tails are inserted
+//!   directly. Only a large unmatched remainder rebuilds the list, into
+//!   fresh buffers sized for the result that replace the destination's;
 //! * tiny sources (≤ 4 entries, e.g. newborn singletons) skip the merge
 //!   entirely and binary-search-insert instead;
 //! * [`SparseProvenance::take_all_from`] (the full-relay case of
@@ -43,8 +42,21 @@
 //!   entries with `select_nth_unstable_by` and a boolean [`MergeScratch`]
 //!   mask — O(ℓ) instead of the former full sort + `BTreeSet` build.
 //!
-//! The allocation-free behaviour is locked in by the counting-allocator
+//! The allocation-free steady state is locked in by the counting-allocator
 //! regression test in `tests/alloc_counting.rs`.
+//!
+//! The lists also stay tight: every list a relay touches holds at most
+//! `max(64, ℓ + ℓ/8)` slots for its ℓ entries, where `Vec` doubling alone
+//! would leave up to half of a long list's slots spare (and on heavy-tailed
+//! streams the hubs' long lists hold most of the bytes):
+//!
+//! * a list grows by doubling up to `SMALL_TAIL` (64) slots, and by an
+//!   eighth of its length beyond;
+//! * a rebuilt list, a source that lost entries below the epsilon and a
+//!   source emptied by a full relay are trimmed to their length when over
+//!   the bound, so an emptied source frees buffers of more than 64 slots.
+//!
+//! `tests/list_capacity.rs` checks the bound.
 //!
 //! ## Mass conservation
 //!
@@ -166,53 +178,52 @@ fn small_source_case(dst_len: usize, src_len: usize) -> bool {
 }
 
 /// Remainders at most this long are merged by per-entry insertion (the
-/// `memmove` of a ≤ 64-entry tail is cheaper than a scratch round-trip).
+/// `memmove` of a ≤ 64-entry tail is cheaper than a rebuild). Lists up to
+/// this many slots also grow by doubling, and longer ones by an eighth (see
+/// the module docs).
 const SMALL_TAIL: usize = 64;
 
-/// Thread-local merge buffers (keys and values) for large-remainder merges.
-#[derive(Default)]
-struct MergeBuf {
-    keys: Vec<Key>,
-    vals: Vec<Quantity>,
-}
-
-thread_local! {
-    /// Reused across every merge on the thread, so the steady state
-    /// allocates nothing; results are spliced back into the destination
-    /// (never swapped wholesale without a capacity check), so each vector's
-    /// capacity stays proportional to its own list.
-    static MERGE_BUF: std::cell::RefCell<MergeBuf> =
-        // tin-lint: allow(hot-path-alloc): const-initialized empty Vec::new never allocates
-        const { std::cell::RefCell::new(MergeBuf { keys: Vec::new(), vals: Vec::new() }) };
-}
-
-/// Install a merged tail: replace `dst[i..]` by the buffer contents. When
-/// the whole list went through the buffer (`i == 0`) and the buffer is not
-/// grossly over-sized, swap the allocations instead of copying — the old
-/// destination buffers become the next merge buffers. The capacity guard is
-/// what keeps vector capacities proportional to their own lists instead of
-/// inheriting the largest buffer the thread ever merged.
+/// Make room for `extra` more entries in both buffers: by doubling while
+/// the list fits in [`SMALL_TAIL`] slots (as `Vec` grows), and beyond that
+/// by an eighth of its length, or by `extra` when that is more.
 #[inline]
-fn commit_tail(
-    dst_keys: &mut Vec<Key>,
-    dst_vals: &mut Vec<Quantity>,
-    i: usize,
-    buf: &mut MergeBuf,
-) {
-    if i == 0 && buf.keys.capacity() <= 2 * buf.keys.len() {
-        std::mem::swap(dst_keys, &mut buf.keys);
-        std::mem::swap(dst_vals, &mut buf.vals);
+fn reserve(keys: &mut Vec<Key>, vals: &mut Vec<Quantity>, extra: usize) {
+    let len = keys.len();
+    if keys.capacity() - len >= extra {
+        return;
+    }
+    let need = len + extra;
+    let target = if need > SMALL_TAIL {
+        len + extra.max(len / 8)
     } else {
-        dst_keys.truncate(i);
-        dst_keys.extend_from_slice(&buf.keys);
-        dst_vals.truncate(i);
-        dst_vals.extend_from_slice(&buf.vals);
+        need.max(2 * keys.capacity()).clamp(4, SMALL_TAIL)
+    };
+    keys.reserve_exact(target - len);
+    vals.reserve_exact(target - len);
+}
+
+/// Insert one entry at `i`, growing the buffers as [`reserve`] does.
+#[inline]
+fn insert(keys: &mut Vec<Key>, vals: &mut Vec<Quantity>, i: usize, key: Key, q: Quantity) {
+    reserve(keys, vals, 1);
+    keys.insert(i, key);
+    vals.insert(i, q);
+}
+
+/// Shrink both buffers to the list's length when they hold more than
+/// `max(SMALL_TAIL, len + len/8)` slots, so an empty list's buffers of more
+/// than [`SMALL_TAIL`] slots are freed.
+#[inline]
+fn trim(keys: &mut Vec<Key>, vals: &mut Vec<Quantity>) {
+    let len = keys.len();
+    if keys.capacity() > SMALL_TAIL.max(len + len / 8) {
+        keys.shrink_to_fit();
+        vals.shrink_to_fit();
     }
 }
 
-/// Core of the zero-allocation merge kernels: `dst ⊕= factor·src`, returning
-/// the scaled mass that fell below the epsilon (for the caller to fold into
-/// α).
+/// Core of the merge kernels: `dst ⊕= factor·src`, returning the scaled
+/// mass that fell below the epsilon (for the caller to fold into α).
 ///
 /// The loop is staged to match what real streams look like (on the
 /// Bitcoin-shaped benchmark workload ~82% of source origins already exist in
@@ -226,9 +237,9 @@ fn commit_tail(
 /// 2. **Small remainder, insertion.** A tail of ≤ [`SMALL_TAIL`] combined
 ///    entries is inserted entry-by-entry (`Vec::insert` memmoves a tiny
 ///    tail).
-/// 3. **Large remainder, scratch splice.** The rest of both lists is merged
-///    into the thread-local [`MergeBuf`] and spliced over the destination's
-///    tail (see [`commit_tail`]).
+/// 3. **Large remainder, rebuild.** The prefix and the merged rest of both
+///    lists are written into fresh buffers sized for the result, which are
+///    [`trim`]med and replace the destination's.
 fn merge_scaled_core(
     dst_keys: &mut Vec<Key>,
     dst_vals: &mut Vec<Quantity>,
@@ -271,61 +282,57 @@ fn merge_scaled_core(
                 if qty_is_zero(q) {
                     dropped += q;
                 } else {
-                    dst_keys.insert(i, sk);
-                    dst_vals.insert(i, q);
+                    insert(dst_keys, dst_vals, i, sk, q);
                 }
             }
             j += 1;
         }
         return dropped;
     }
-    // Phase 3: large remainder through the thread-local buffers.
-    MERGE_BUF.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let buf = &mut *buf;
-        buf.keys.clear();
-        buf.vals.clear();
-        let upper = (dst_keys.len() - i) + (k - j);
-        buf.keys.reserve(upper);
-        buf.vals.reserve(upper);
-        let mut a = i;
-        while a < dst_keys.len() && j < k {
-            let dk = dst_keys[a];
-            let sk = src_keys[j];
-            if dk < sk {
-                buf.keys.push(dk);
-                buf.vals.push(dst_vals[a]);
-                a += 1;
-            } else if dk == sk {
-                buf.keys.push(dk);
-                buf.vals.push(dst_vals[a] + factor * src_vals[j]);
-                a += 1;
-                j += 1;
-            } else {
-                let q = factor * src_vals[j];
-                if qty_is_zero(q) {
-                    dropped += q;
-                } else {
-                    buf.keys.push(sk);
-                    buf.vals.push(q);
-                }
-                j += 1;
-            }
-        }
-        buf.keys.extend_from_slice(&dst_keys[a..]);
-        buf.vals.extend_from_slice(&dst_vals[a..]);
-        while j < k {
+    // Phase 3: large remainder, rebuilt into fresh buffers.
+    let upper = dst_keys.len() + (k - j);
+    let mut keys = Vec::with_capacity(upper);
+    let mut vals = Vec::with_capacity(upper);
+    keys.extend_from_slice(&dst_keys[..i]);
+    vals.extend_from_slice(&dst_vals[..i]);
+    while i < dst_keys.len() && j < k {
+        let dk = dst_keys[i];
+        let sk = src_keys[j];
+        if dk < sk {
+            keys.push(dk);
+            vals.push(dst_vals[i]);
+            i += 1;
+        } else if dk == sk {
+            keys.push(dk);
+            vals.push(dst_vals[i] + factor * src_vals[j]);
+            i += 1;
+            j += 1;
+        } else {
             let q = factor * src_vals[j];
             if qty_is_zero(q) {
                 dropped += q;
             } else {
-                buf.keys.push(src_keys[j]);
-                buf.vals.push(q);
+                keys.push(sk);
+                vals.push(q);
             }
             j += 1;
         }
-        commit_tail(dst_keys, dst_vals, i, buf);
-    });
+    }
+    keys.extend_from_slice(&dst_keys[i..]);
+    vals.extend_from_slice(&dst_vals[i..]);
+    while j < k {
+        let q = factor * src_vals[j];
+        if qty_is_zero(q) {
+            dropped += q;
+        } else {
+            keys.push(src_keys[j]);
+            vals.push(q);
+        }
+        j += 1;
+    }
+    trim(&mut keys, &mut vals);
+    *dst_keys = keys;
+    *dst_vals = vals;
     dropped
 }
 
@@ -391,8 +398,7 @@ fn transfer_core(
             } else if qty_is_zero(dq) {
                 dst_dropped += dq;
             } else {
-                dst_keys.insert(i, sk);
-                dst_vals.insert(i, dq);
+                insert(dst_keys, dst_vals, i, sk, dq);
                 i += 1;
             }
             let sq = keep * bq;
@@ -409,68 +415,41 @@ fn transfer_core(
         src_vals.truncate(w);
         return (dst_dropped, src_dropped);
     }
-    // Phase 3: large remainder through the thread-local buffers.
-    MERGE_BUF.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let buf = &mut *buf;
-        buf.keys.clear();
-        buf.vals.clear();
-        let upper = (dst_keys.len() - i) + (k - j);
-        buf.keys.reserve(upper);
-        buf.vals.reserve(upper);
-        let mut a = i;
-        while a < dst_keys.len() && j < k {
-            let dk = dst_keys[a];
-            let sk = src_keys[j];
-            if dk < sk {
-                buf.keys.push(dk);
-                buf.vals.push(dst_vals[a]);
-                a += 1;
-            } else if dk == sk {
-                let bq = src_vals[j];
-                buf.keys.push(dk);
-                buf.vals.push(dst_vals[a] + factor * bq);
-                let sq = keep * bq;
-                if qty_is_zero(sq) {
-                    src_dropped += sq;
-                } else {
-                    src_keys[w] = sk;
-                    src_vals[w] = sq;
-                    w += 1;
-                }
-                a += 1;
-                j += 1;
+    // Phase 3: large remainder, rebuilt into fresh buffers.
+    let upper = dst_keys.len() + (k - j);
+    let mut keys = Vec::with_capacity(upper);
+    let mut vals = Vec::with_capacity(upper);
+    keys.extend_from_slice(&dst_keys[..i]);
+    vals.extend_from_slice(&dst_vals[..i]);
+    while i < dst_keys.len() && j < k {
+        let dk = dst_keys[i];
+        let sk = src_keys[j];
+        if dk < sk {
+            keys.push(dk);
+            vals.push(dst_vals[i]);
+            i += 1;
+        } else if dk == sk {
+            let bq = src_vals[j];
+            keys.push(dk);
+            vals.push(dst_vals[i] + factor * bq);
+            let sq = keep * bq;
+            if qty_is_zero(sq) {
+                src_dropped += sq;
             } else {
-                let bq = src_vals[j];
-                let dq = factor * bq;
-                if qty_is_zero(dq) {
-                    dst_dropped += dq;
-                } else {
-                    buf.keys.push(sk);
-                    buf.vals.push(dq);
-                }
-                let sq = keep * bq;
-                if qty_is_zero(sq) {
-                    src_dropped += sq;
-                } else {
-                    src_keys[w] = sk;
-                    src_vals[w] = sq;
-                    w += 1;
-                }
-                j += 1;
+                src_keys[w] = sk;
+                src_vals[w] = sq;
+                w += 1;
             }
-        }
-        buf.keys.extend_from_slice(&dst_keys[a..]);
-        buf.vals.extend_from_slice(&dst_vals[a..]);
-        while j < k {
-            let sk = src_keys[j];
+            i += 1;
+            j += 1;
+        } else {
             let bq = src_vals[j];
             let dq = factor * bq;
             if qty_is_zero(dq) {
                 dst_dropped += dq;
             } else {
-                buf.keys.push(sk);
-                buf.vals.push(dq);
+                keys.push(sk);
+                vals.push(dq);
             }
             let sq = keep * bq;
             if qty_is_zero(sq) {
@@ -482,8 +461,32 @@ fn transfer_core(
             }
             j += 1;
         }
-        commit_tail(dst_keys, dst_vals, i, buf);
-    });
+    }
+    keys.extend_from_slice(&dst_keys[i..]);
+    vals.extend_from_slice(&dst_vals[i..]);
+    while j < k {
+        let sk = src_keys[j];
+        let bq = src_vals[j];
+        let dq = factor * bq;
+        if qty_is_zero(dq) {
+            dst_dropped += dq;
+        } else {
+            keys.push(sk);
+            vals.push(dq);
+        }
+        let sq = keep * bq;
+        if qty_is_zero(sq) {
+            src_dropped += sq;
+        } else {
+            src_keys[w] = sk;
+            src_vals[w] = sq;
+            w += 1;
+        }
+        j += 1;
+    }
+    trim(&mut keys, &mut vals);
+    *dst_keys = keys;
+    *dst_vals = vals;
     src_keys.truncate(w);
     src_vals.truncate(w);
     (dst_dropped, src_dropped)
@@ -544,10 +547,7 @@ impl SparseProvenance {
         let key = encode(origin);
         match self.keys.binary_search(&key) {
             Ok(i) => self.vals[i] += qty,
-            Err(i) => {
-                self.keys.insert(i, key);
-                self.vals.insert(i, qty);
-            }
+            Err(i) => insert(&mut self.keys, &mut self.vals, i, key, qty),
         }
     }
 
@@ -618,13 +618,14 @@ impl SparseProvenance {
         if self.keys.last() == Some(&UNKNOWN_KEY) {
             *self.vals.last_mut().expect("parallel arrays") += dropped;
         } else {
+            reserve(&mut self.keys, &mut self.vals, 1);
             self.keys.push(UNKNOWN_KEY);
             self.vals.push(dropped);
         }
     }
 
     /// `self ⊕ other`: merge-add another sparse vector. Allocation-free
-    /// except for the destination's own amortised capacity growth.
+    /// unless it adds an origin to the destination.
     pub fn merge_add(&mut self, other: &SparseProvenance) {
         if other.keys.is_empty() {
             return;
@@ -632,6 +633,7 @@ impl SparseProvenance {
         // Fast paths: empty destination, strictly-appending merge, or a
         // tiny source against a long destination.
         if self.keys.is_empty() || other.keys[0] > self.keys[self.keys.len() - 1] {
+            reserve(&mut self.keys, &mut self.vals, other.keys.len());
             self.keys.extend_from_slice(&other.keys);
             self.vals.extend_from_slice(&other.vals);
             return;
@@ -640,10 +642,7 @@ impl SparseProvenance {
             for (&k, &q) in other.keys.iter().zip(&other.vals) {
                 match self.keys.binary_search(&k) {
                     Ok(i) => self.vals[i] += q,
-                    Err(i) => {
-                        self.keys.insert(i, k);
-                        self.vals.insert(i, q);
-                    }
+                    Err(i) => insert(&mut self.keys, &mut self.vals, i, k, q),
                 }
             }
             return;
@@ -665,7 +664,7 @@ impl SparseProvenance {
     /// Scaled contributions that fall below the library epsilon are folded
     /// into the destination's `(α, ·)` entry instead of being dropped, so the
     /// destination gains exactly `factor · other.total()`. Allocation-free
-    /// except for the destination's own amortised capacity growth.
+    /// unless it adds an origin to the destination.
     pub fn merge_add_scaled(&mut self, other: &SparseProvenance, factor: f64) {
         // Guard on *exactly* non-positive factors only: an epsilon test on
         // the dimensionless factor would silently skip a transfer of up to
@@ -676,6 +675,7 @@ impl SparseProvenance {
         }
         let mut dropped = 0.0;
         if self.keys.is_empty() || other.keys[0] > self.keys[self.keys.len() - 1] {
+            reserve(&mut self.keys, &mut self.vals, other.keys.len());
             for (&k, &bq) in other.keys.iter().zip(&other.vals) {
                 let q = factor * bq;
                 if qty_is_zero(q) {
@@ -696,10 +696,7 @@ impl SparseProvenance {
                 } else {
                     match self.keys.binary_search(&k) {
                         Ok(i) => self.vals[i] += q,
-                        Err(i) => {
-                            self.keys.insert(i, k);
-                            self.vals.insert(i, q);
-                        }
+                        Err(i) => insert(&mut self.keys, &mut self.vals, i, k, q),
                     }
                 }
             }
@@ -720,8 +717,10 @@ impl SparseProvenance {
     ///
     /// When the destination is empty this is an O(1) buffer swap — the
     /// dominant case on chain-shaped streams where quantities hop from vertex
-    /// to vertex. Otherwise it is one staged in-place merge; either way the
-    /// source keeps its capacity for reuse.
+    /// to vertex. Otherwise it is one staged merge. Either way the emptied
+    /// source keeps buffers of at most 64 slots for reuse and frees larger
+    /// ones: a hub that relays everything would otherwise hold its largest
+    /// list's buffers while empty.
     pub fn take_all_from(&mut self, src: &mut SparseProvenance) {
         if src.keys.is_empty() {
             return;
@@ -729,11 +728,12 @@ impl SparseProvenance {
         if self.keys.is_empty() {
             std::mem::swap(&mut self.keys, &mut src.keys);
             std::mem::swap(&mut self.vals, &mut src.vals);
-            return;
+        } else {
+            self.merge_add(src);
+            src.keys.clear();
+            src.vals.clear();
         }
-        self.merge_add(src);
-        src.keys.clear();
-        src.vals.clear();
+        trim(&mut src.keys, &mut src.vals);
     }
 
     /// Proportional split (Algorithm 3 lines 8–10 on lists): the destination
@@ -762,6 +762,7 @@ impl SparseProvenance {
         );
         self.fold_into_unknown(dst_dropped);
         src.fold_into_unknown(src_dropped);
+        trim(&mut src.keys, &mut src.vals);
     }
 
     /// Multiply every entry by `factor` (Algorithm 3 line 10 on lists: the
@@ -795,6 +796,7 @@ impl SparseProvenance {
         self.keys.truncate(w);
         self.vals.truncate(w);
         self.fold_into_unknown(dropped);
+        trim(&mut self.keys, &mut self.vals);
     }
 
     /// Remove all entries.
@@ -1327,6 +1329,39 @@ mod tests {
         src.scale(1.0 - factor);
         assert!(qty_approx_eq(src.total() + dst.total(), before));
         assert!(src.is_consistent() && dst.is_consistent());
+    }
+
+    /// Every relay operation leaves at most `max(64, len + len/8)` slots:
+    /// growth, rebuilds, sources that lose entries below the epsilon, and
+    /// emptied sources, which free buffers of more than 64 slots.
+    #[test]
+    fn relays_keep_lists_within_the_capacity_bound() {
+        let within = |v: &SparseProvenance| {
+            let len = v.len();
+            v.keys.capacity() == v.vals.capacity()
+                && v.keys.capacity() <= SMALL_TAIL.max(len + len / 8)
+        };
+        let mut grown = SparseProvenance::new();
+        for i in 0..1000u32 {
+            grown.add(ov(i * 7 % 1000), 1.0);
+            assert!(within(&grown), "{} entries", grown.len());
+        }
+        // Half the source's entries fall below the epsilon on either side
+        // of the split: the destination is rebuilt, the source shrinks.
+        let mut src: SparseProvenance = (0..200u32)
+            .map(|i| (ov(i), if i % 2 == 0 { 1.5e-6 } else { 1.0 }))
+            .collect();
+        let mut dst = SparseProvenance::singleton(ov(1000), 1.0);
+        dst.transfer_from(&mut src, 0.5);
+        assert_eq!((dst.len(), src.len()), (102, 101));
+        assert!(within(&dst) && within(&src));
+        // A full relay frees an emptied source's large buffers only.
+        dst.take_all_from(&mut src);
+        assert!(src.is_empty() && src.keys.capacity() == 0);
+        let mut small = SparseProvenance::singleton(ov(3), 1.0);
+        dst.take_all_from(&mut small);
+        assert!(small.is_empty() && small.keys.capacity() > 0);
+        assert!(within(&dst));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! over long streams because the lists keep getting longer.
 //!
 //! The tracker stores [`SparseProvenance`] lists directly: merges happen in
-//! place on the destination lists (no per-interaction allocation) and full
-//! relays into empty vertices are O(1) buffer swaps.
+//! place on the destination lists (allocating only when they add origins)
+//! and full relays into empty vertices are O(1) buffer swaps.
 
 use crate::ids::VertexId;
 use crate::interaction::Interaction;

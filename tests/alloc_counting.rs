@@ -1,10 +1,14 @@
-//! Allocation regression test for the PR 2 zero-allocation merge kernels.
+//! Allocation regression test for the sparse merge kernels.
 //!
 //! Installs the `tin-memstats` counting allocator for this test binary and
 //! asserts that the proportional-sparse hot path performs **zero heap
 //! allocations** once the provenance lists have reached their steady-state
-//! shape — the property that replaced the one-fresh-`Vec`-per-interaction
-//! behaviour of the original `merge_add_scaled`.
+//! shape. A merge allocates only when it adds origins to the destination:
+//! the list then grows (by doubling up to 64 slots, by an eighth of its
+//! length beyond), or a large remainder rebuilds it into fresh buffers. In
+//! the steady state every list holds the full origin set, so no merge adds
+//! an origin, and a full relay swaps buffers of at most 64 slots, which the
+//! emptied source keeps.
 //!
 //! The measurement counts only the test thread's allocations
 //! (`tin_memstats::thread_allocations`), so libtest's main thread and any
