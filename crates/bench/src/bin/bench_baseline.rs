@@ -11,9 +11,11 @@
 //! self-healing sharded engine and reports the measured recovery-time
 //! objective per snapshot interval, a `healing_overhead` section that
 //! prices self-healing when no worker dies (2-shard wall time and allocator
-//! peak with and without it), and a `telemetry_overhead` section that
+//! peak with and without it), a `telemetry_overhead` section that
 //! isolates what live JSONL telemetry streaming costs on top of plain
-//! observability. The JSON schema is documented in the repository README
+//! observability, and a `trace_load` section that writes each workload to
+//! CSV and times reading it back, with decimal and with non-decimal vertex
+//! names. The JSON schema is documented in the repository README
 //! ("Benchmark baseline"); numbers from this emitter are the perf
 //! trajectory that later PRs are measured against.
 //!
@@ -841,6 +843,121 @@ fn run_telemetry_overhead(
     }
 }
 
+/// How the vertices of a `trace_load` file are named.
+#[derive(Clone, Copy)]
+enum TraceNames {
+    /// The ids `write_csv` writes, which the interner finds by indexing.
+    Decimal,
+    /// `v<id>`, which the interner finds through its hash map.
+    NonDecimal,
+}
+
+impl TraceNames {
+    fn key(self) -> &'static str {
+        match self {
+            TraceNames::Decimal => "decimal",
+            TraceNames::NonDecimal => "non_decimal",
+        }
+    }
+}
+
+struct TraceLoadRow {
+    names: TraceNames,
+    bytes: usize,
+    records: usize,
+    vertices: usize,
+    load: TimingStats,
+    peak_alloc_bytes: usize,
+    allocations: usize,
+}
+
+/// Write the workload as a `src,dst,time,qty` file, its vertices named as
+/// `names` says.
+fn write_trace(path: &std::path::Path, w: &Workload, names: TraceNames) {
+    use std::io::Write;
+    match names {
+        TraceNames::Decimal => tin_datasets::io::write_csv_file(path, &w.interactions)
+            .expect("the temp dir is writable"),
+        TraceNames::NonDecimal => {
+            let file = std::fs::File::create(path).expect("the temp dir is writable");
+            let mut out = std::io::BufWriter::new(file);
+            let mut write = || -> std::io::Result<()> {
+                writeln!(out, "src,dst,time,qty")?;
+                for r in &w.interactions {
+                    let (src, dst) = (r.src.raw(), r.dst.raw());
+                    writeln!(out, "v{src},v{dst},{},{}", r.time.0, r.qty)?;
+                }
+                out.flush()
+            };
+            write().expect("the temp dir is writable");
+        }
+    }
+}
+
+/// Seconds per `read_named_edge_list_file` of `path`: loads repeat until
+/// [`MIN_MEASURE_SECS`] have elapsed, and the mean is returned.
+fn time_trace_load(path: &std::path::Path) -> f64 {
+    let mut passes = 0u32;
+    let mut timed = 0.0f64;
+    loop {
+        let start = Instant::now();
+        let named = tin_datasets::formats::read_named_edge_list_file(path)
+            .expect("the trace was just written");
+        timed += start.elapsed().as_secs_f64();
+        std::hint::black_box(named);
+        passes += 1;
+        if timed >= MIN_MEASURE_SECS {
+            break;
+        }
+    }
+    timed / f64::from(passes)
+}
+
+/// Trace-load cost for one workload: its trace written by `write_csv` and
+/// again with non-decimal names, each read back by
+/// `read_named_edge_list_file` over K interleaved reps, plus one untimed
+/// load per file under the counting allocator.
+fn run_trace_load(w: &Workload, reps: usize) -> Vec<TraceLoadRow> {
+    let dir = std::env::temp_dir().join(format!("tin_bench_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("the temp dir is writable");
+    let files: Vec<(TraceNames, std::path::PathBuf)> =
+        [TraceNames::Decimal, TraceNames::NonDecimal]
+            .into_iter()
+            .map(|names| {
+                let path = dir.join(format!("{}.csv", names.key()));
+                write_trace(&path, w, names);
+                (names, path)
+            })
+            .collect();
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); files.len()];
+    for _ in 0..reps {
+        for ((_, path), s) in files.iter().zip(samples.iter_mut()) {
+            s.push(time_trace_load(path));
+        }
+    }
+    let rows = files
+        .iter()
+        .zip(samples.iter_mut())
+        .map(|((names, path), s)| {
+            let (named, mem) = tin_memstats::measure(|| {
+                tin_datasets::formats::read_named_edge_list_file(path)
+                    .expect("the trace was just written")
+            });
+            TraceLoadRow {
+                names: *names,
+                bytes: std::fs::metadata(path).map_or(0, |m| m.len() as usize),
+                records: named.interactions.len(),
+                vertices: named.num_vertices(),
+                load: TimingStats::from_samples(s),
+                peak_alloc_bytes: mem.peak_delta_bytes,
+                allocations: mem.allocations,
+            }
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    rows
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -893,9 +1010,51 @@ fn main() {
     let mut recovery_blobs = Vec::new();
     let mut healing_blobs = Vec::new();
     let mut telemetry_blobs = Vec::new();
+    let mut trace_load_blobs = Vec::new();
     for kind in kinds {
         let w = Workload::generate(kind, scale);
         println!("\n  {}", w.describe());
+
+        // Trace load: the workload written to CSV and read back.
+        for row in run_trace_load(&w, reps) {
+            let secs = row.load.median_secs;
+            let rate = |items: f64| if secs > 0.0 { items / secs } else { 0.0 };
+            let mb_per_sec = rate(row.bytes as f64 / 1e6);
+            let records_per_sec = rate(row.records as f64);
+            println!(
+                "    trace load ({}): {} in {:.3} ms ({:.1} MB/s, {:.0} records/s), \
+                 alloc peak {}, {} allocations",
+                row.names.key(),
+                tin_memstats::format_bytes(row.bytes),
+                secs * 1e3,
+                mb_per_sec,
+                records_per_sec,
+                tin_memstats::format_bytes(row.peak_alloc_bytes),
+                row.allocations,
+            );
+            trace_load_blobs.push(format!(
+                concat!(
+                    "{{\"dataset\": \"{}\", \"names\": \"{}\", \"bytes\": {}, ",
+                    "\"records\": {}, \"vertices\": {}, \"load_secs\": {}, ",
+                    "\"load_secs_min\": {}, \"load_secs_max\": {}, \"mb_per_sec\": {}, ",
+                    "\"records_per_sec\": {}, \"peak_alloc_bytes\": {}, ",
+                    "\"allocations\": {}, \"reps\": {}}}"
+                ),
+                kind.key(),
+                row.names.key(),
+                row.bytes,
+                row.records,
+                row.vertices,
+                fmt_f64(secs),
+                fmt_f64(row.load.min_secs),
+                fmt_f64(row.load.max_secs),
+                fmt_f64(mb_per_sec),
+                fmt_f64(records_per_sec),
+                row.peak_alloc_bytes,
+                row.allocations,
+                reps,
+            ));
+        }
 
         // Per-policy table: K interleaved reps, median + min/max.
         let rows = run_policy_table(&w, reps);
@@ -1217,7 +1376,8 @@ fn main() {
             "  \"checkpoint_cost\": [\n    {}\n  ],\n",
             "  \"recovery_time\": [\n    {}\n  ],\n",
             "  \"healing_overhead\": [\n    {}\n  ],\n",
-            "  \"telemetry_overhead\": [\n    {}\n  ]\n",
+            "  \"telemetry_overhead\": [\n    {}\n  ],\n",
+            "  \"trace_load\": [\n    {}\n  ]\n",
             "}}\n"
         ),
         scale_key,
@@ -1229,6 +1389,7 @@ fn main() {
         recovery_blobs.join(",\n    "),
         healing_blobs.join(",\n    "),
         telemetry_blobs.join(",\n    "),
+        trace_load_blobs.join(",\n    "),
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| {
         eprintln!("failed to write {out_path}: {e}");

@@ -7,12 +7,33 @@
 //! policy selects the *most recently added* pairs first (a stack, natural for
 //! cash registers and wallets). Transferred pairs are appended to the
 //! destination buffer in selection order.
+//!
+//! ## Allocation and capacity
+//!
+//! A buffer is one `VecDeque` ring of 12-byte slots: the 4-byte origin and
+//! the 8-byte quantity, packed with no padding, where a [`Pair`] takes 16
+//! bytes. The slot type stays private because Rust forbids references to
+//! its unaligned quantity, so [`QueueBuffer::iter`] and
+//! [`QueueBuffer::peek`] hand out [`Pair`] values.
+//!
+//! The ring also keeps its spare slots bounded. On heavy-tailed streams the
+//! hubs' queues hold most of the pairs, and they drain as well as fill:
+//!
+//! * a queue grows by doubling up to 64 slots, and by an eighth of its
+//!   length beyond, the rule the sparse provenance lists follow too;
+//! * after a transfer, a queue of ℓ pairs that holds more than
+//!   `max(64, 2ℓ)` slots shrinks to `ℓ + ℓ/8`, so an emptied queue frees
+//!   any buffer of more than 64 slots. The factor 2 keeps a queue that
+//!   drains a little at a time from shrinking after every transfer.
+//!
+//! So a queue of ℓ pairs holds at most `max(64, 2ℓ)` slots;
+//! `tests/queue_capacity.rs` checks the bound.
 
 use std::collections::VecDeque;
 
 use crate::buffer::Pair;
 use crate::ids::VertexId;
-use crate::memory::{deque_bytes, MemoryFootprint};
+use crate::memory::{deque_bytes, grown_capacity, MemoryFootprint, SMALL_BUFFER};
 use crate::quantity::{qty_gt, qty_is_zero, Quantity};
 
 /// Which end of the buffer is selected for transfers.
@@ -24,11 +45,39 @@ pub enum Discipline {
     Lifo,
 }
 
+/// One stored pair in 12 bytes (see the module docs).
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed(4))]
+struct Slot {
+    origin: u32,
+    qty: Quantity,
+}
+
+impl From<Pair> for Slot {
+    #[inline]
+    fn from(p: Pair) -> Self {
+        Slot {
+            origin: p.origin.raw(),
+            qty: p.qty,
+        }
+    }
+}
+
+impl From<Slot> for Pair {
+    #[inline]
+    fn from(s: Slot) -> Self {
+        Pair {
+            origin: VertexId::new(s.origin),
+            qty: s.qty,
+        }
+    }
+}
+
 /// A vertex buffer organised as a FIFO queue or LIFO stack of pairs.
 #[derive(Clone, Debug)]
 pub struct QueueBuffer {
     discipline: Discipline,
-    deque: VecDeque<Pair>,
+    deque: VecDeque<Slot>,
     total: Quantity,
     coalesce: bool,
 }
@@ -94,21 +143,34 @@ impl QueueBuffer {
         self.total += pair.qty;
         if self.coalesce {
             if let Some(last) = self.deque.back_mut() {
-                if last.origin == pair.origin {
+                if last.origin == pair.origin.raw() {
                     last.qty += pair.qty;
                     return;
                 }
             }
         }
-        self.deque.push_back(pair);
+        let len = self.deque.len();
+        if len == self.deque.capacity() {
+            self.deque.reserve_exact(grown_capacity(len, len, 1) - len);
+        }
+        self.deque.push_back(pair.into());
+    }
+
+    /// The slot that the discipline would select next.
+    fn selected_mut(&mut self) -> Option<&mut Slot> {
+        match self.discipline {
+            Discipline::Fifo => self.deque.front_mut(),
+            Discipline::Lifo => self.deque.back_mut(),
+        }
     }
 
     /// Peek at the pair that the discipline would select next.
-    pub fn peek(&self) -> Option<&Pair> {
+    pub fn peek(&self) -> Option<Pair> {
         match self.discipline {
             Discipline::Fifo => self.deque.front(),
             Discipline::Lifo => self.deque.back(),
         }
+        .map(|&s| s.into())
     }
 
     /// Select up to `amount` quantity, invoking `sink` for each transferred
@@ -118,19 +180,14 @@ impl QueueBuffer {
     pub fn take(&mut self, amount: Quantity, mut sink: impl FnMut(Pair)) -> Quantity {
         let mut residue = amount;
         let mut taken = 0.0;
-        while residue > 0.0 && !qty_is_zero(residue) && !self.deque.is_empty() {
-            let top_qty = self.peek().map(|p| p.qty).unwrap_or(0.0);
-            if qty_gt(top_qty, residue) {
+        while residue > 0.0 && !qty_is_zero(residue) {
+            let Some(top) = self.selected_mut() else {
+                break;
+            };
+            if qty_gt(top.qty, residue) {
                 // Split the selected pair.
-                let origin = {
-                    let top = match self.discipline {
-                        Discipline::Fifo => self.deque.front_mut(),
-                        Discipline::Lifo => self.deque.back_mut(),
-                    }
-                    .expect("deque is non-empty: peeked above");
-                    top.qty -= residue;
-                    top.origin
-                };
+                top.qty -= residue;
+                let origin = VertexId::new(top.origin);
                 self.total -= residue;
                 taken += residue;
                 sink(Pair {
@@ -139,32 +196,36 @@ impl QueueBuffer {
                 });
                 residue = 0.0;
             } else {
-                let pair = match self.discipline {
+                let pair = Pair::from(*top);
+                match self.discipline {
                     Discipline::Fifo => self.deque.pop_front(),
                     Discipline::Lifo => self.deque.pop_back(),
-                }
-                .expect("deque is non-empty: peeked above");
+                };
                 self.total -= pair.qty;
                 residue -= pair.qty;
                 taken += pair.qty;
                 sink(pair);
             }
         }
-        if self.deque.is_empty() {
+        let len = self.deque.len();
+        if len == 0 {
             self.total = 0.0;
+        }
+        if self.deque.capacity() > SMALL_BUFFER.max(2 * len) {
+            self.deque.shrink_to(len + len / 8);
         }
         taken
     }
 
     /// Iterate over the stored pairs, from least recently to most recently
     /// added (the display order of Table 4).
-    pub fn iter(&self) -> impl Iterator<Item = &Pair> {
-        self.deque.iter()
+    pub fn iter(&self) -> impl Iterator<Item = Pair> + '_ {
+        self.deque.iter().map(|&s| s.into())
     }
 
     /// The stored pairs as a vector, least recently added first.
     pub fn as_pairs(&self) -> Vec<(VertexId, Quantity)> {
-        self.deque.iter().map(|p| (p.origin, p.qty)).collect()
+        self.iter().map(|p| (p.origin, p.qty)).collect()
     }
 
     /// Append the checkpoint encoding (pairs in receipt order).
@@ -180,9 +241,9 @@ impl QueueBuffer {
         put_bool(out, self.coalesce);
         put_f64(out, self.total);
         put_usize(out, self.deque.len());
-        for p in &self.deque {
-            put_u32(out, p.origin.raw());
-            put_f64(out, p.qty);
+        for &Slot { origin, qty } in &self.deque {
+            put_u32(out, origin);
+            put_f64(out, qty);
         }
     }
 
@@ -202,9 +263,9 @@ impl QueueBuffer {
         }
         let mut deque = VecDeque::with_capacity(len);
         for _ in 0..len {
-            let origin = VertexId::new(r.u32()?);
+            let origin = r.u32()?;
             let qty = r.f64()?;
-            deque.push_back(Pair { origin, qty });
+            deque.push_back(Slot { origin, qty });
         }
         Ok(QueueBuffer {
             discipline,
@@ -390,7 +451,47 @@ mod tests {
             b.push(p(i, 1.0)); // distinct origins: no coalescing
         }
         assert!(b.footprint_bytes() > empty);
-        assert!(b.footprint_bytes() >= 100 * std::mem::size_of::<Pair>());
+        assert!(b.footprint_bytes() >= 100 * std::mem::size_of::<Slot>());
+    }
+
+    #[test]
+    fn slots_take_12_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 12);
+        let mut b = QueueBuffer::new(Discipline::Fifo);
+        b.push(p(7, 1.5));
+        assert_eq!(b.footprint_bytes(), 4 * 12);
+    }
+
+    /// Growth doubles to 64 slots and adds an eighth beyond; a transfer
+    /// that leaves more than `max(64, 2ℓ)` slots for ℓ pairs shrinks the
+    /// ring to `ℓ + ℓ/8`, and an emptied queue frees a large ring.
+    #[test]
+    fn capacity_stays_within_the_bound() {
+        for discipline in [Discipline::Fifo, Discipline::Lifo] {
+            let mut b = QueueBuffer::new(discipline);
+            let slots = |b: &QueueBuffer| b.footprint_bytes() / 12;
+            for i in 0..1000 {
+                b.push(p(i, 1.0));
+                let len = b.len();
+                assert!(slots(&b) <= SMALL_BUFFER.max(len + len / 8), "{len}");
+            }
+            // Draining a little keeps the ring; draining past half shrinks it.
+            let before = slots(&b);
+            b.take(100.0, |_| {});
+            assert_eq!(slots(&b), before);
+            b.take(500.0, |_| {});
+            assert_eq!((b.len(), slots(&b)), (400, 450));
+            assert!(qty_approx_eq(b.total(), 400.0));
+            b.take(b.total(), |_| {});
+            assert!(b.is_empty());
+            assert_eq!(slots(&b), 0);
+            // A small emptied ring is kept for reuse.
+            for i in 0..40 {
+                b.push(p(i, 1.0));
+            }
+            b.take(40.0, |_| {});
+            assert_eq!(slots(&b), 64);
+        }
     }
 
     #[test]

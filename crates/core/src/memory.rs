@@ -45,6 +45,30 @@ pub(crate) fn total_footprint<'a, T: MemoryFootprint + 'a>(
         .sum()
 }
 
+/// Buffers that need at most this many slots grow by doubling; longer ones
+/// grow by an eighth of their length (see [`grown_capacity`]).
+pub(crate) const SMALL_BUFFER: usize = 64;
+
+/// The capacity a buffer of `len` elements in `capacity` slots grows to
+/// when it needs room for `extra` more. The sparse provenance lists and the
+/// receipt-order queues share this rule, and reserve the result with
+/// `reserve_exact`:
+///
+/// * while the result fits in [`SMALL_BUFFER`] slots, double (from at
+///   least 4 slots, as `Vec` does);
+/// * beyond that, grow by `max(extra, len/8)`, so a long buffer keeps at
+///   most an eighth of its length spare after growing, where doubling
+///   would leave up to half.
+#[inline]
+pub(crate) fn grown_capacity(len: usize, capacity: usize, extra: usize) -> usize {
+    let need = len + extra;
+    if need > SMALL_BUFFER {
+        len + extra.max(len / 8)
+    } else {
+        need.max(2 * capacity).clamp(4, SMALL_BUFFER)
+    }
+}
+
 /// Helper: bytes of the spine + elements of a `Vec<T>` (capacity-based, since
 /// capacity is what the allocator actually reserved).
 pub fn vec_bytes<T>(v: &Vec<T>) -> usize {
@@ -168,6 +192,17 @@ mod tests {
         let mut h: BinaryHeap<u16> = BinaryHeap::with_capacity(4);
         h.push(3);
         assert!(heap_bytes(&h) >= 4 * 2);
+    }
+
+    #[test]
+    fn buffers_double_to_64_slots_then_grow_by_an_eighth() {
+        assert_eq!(grown_capacity(0, 0, 1), 4);
+        assert_eq!(grown_capacity(4, 4, 1), 8);
+        assert_eq!(grown_capacity(32, 32, 1), 64);
+        assert_eq!(grown_capacity(40, 40, 30), 70);
+        assert_eq!(grown_capacity(64, 64, 1), 72);
+        assert_eq!(grown_capacity(800, 800, 1), 900);
+        assert_eq!(grown_capacity(800, 800, 500), 1300);
     }
 
     #[test]

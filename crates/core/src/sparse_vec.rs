@@ -50,8 +50,9 @@
 //! would leave up to half of a long list's slots spare (and on heavy-tailed
 //! streams the hubs' long lists hold most of the bytes):
 //!
-//! * a list grows by doubling up to `SMALL_TAIL` (64) slots, and by an
-//!   eighth of its length beyond;
+//! * a list grows by doubling up to 64 slots, and by an eighth of its
+//!   length beyond (the rule `crate::memory` shares with the receipt-order
+//!   queues);
 //! * a rebuilt list, a source that lost entries below the epsilon and a
 //!   source emptied by a full relay are trimmed to their length when over
 //!   the bound, so an emptied source frees buffers of more than 64 slots.
@@ -72,7 +73,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::ids::{GroupId, Origin, VertexId};
-use crate::memory::{vec_bytes, MemoryFootprint};
+use crate::memory::{grown_capacity, vec_bytes, MemoryFootprint, SMALL_BUFFER};
 use crate::origins::OriginSet;
 use crate::quantity::{qty_is_zero, qty_sum, Quantity};
 
@@ -178,26 +179,20 @@ fn small_source_case(dst_len: usize, src_len: usize) -> bool {
 }
 
 /// Remainders at most this long are merged by per-entry insertion (the
-/// `memmove` of a ≤ 64-entry tail is cheaper than a rebuild). Lists up to
-/// this many slots also grow by doubling, and longer ones by an eighth (see
-/// the module docs).
+/// `memmove` of a ≤ 64-entry tail is cheaper than a rebuild).
 const SMALL_TAIL: usize = 64;
 
-/// Make room for `extra` more entries in both buffers: by doubling while
-/// the list fits in [`SMALL_TAIL`] slots (as `Vec` grows), and beyond that
-/// by an eighth of its length, or by `extra` when that is more.
+/// Make room for `extra` more entries in both buffers, under the growth
+/// rule the receipt-order queues share ([`grown_capacity`]): doubling up to
+/// [`SMALL_BUFFER`] slots, and beyond that by an eighth of the list's
+/// length, or by `extra` when that is more.
 #[inline]
 fn reserve(keys: &mut Vec<Key>, vals: &mut Vec<Quantity>, extra: usize) {
     let len = keys.len();
     if keys.capacity() - len >= extra {
         return;
     }
-    let need = len + extra;
-    let target = if need > SMALL_TAIL {
-        len + extra.max(len / 8)
-    } else {
-        need.max(2 * keys.capacity()).clamp(4, SMALL_TAIL)
-    };
+    let target = grown_capacity(len, keys.capacity(), extra);
     keys.reserve_exact(target - len);
     vals.reserve_exact(target - len);
 }
@@ -211,12 +206,12 @@ fn insert(keys: &mut Vec<Key>, vals: &mut Vec<Quantity>, i: usize, key: Key, q: 
 }
 
 /// Shrink both buffers to the list's length when they hold more than
-/// `max(SMALL_TAIL, len + len/8)` slots, so an empty list's buffers of more
-/// than [`SMALL_TAIL`] slots are freed.
+/// `max(SMALL_BUFFER, len + len/8)` slots, so an empty list's buffers of
+/// more than [`SMALL_BUFFER`] slots are freed.
 #[inline]
 fn trim(keys: &mut Vec<Key>, vals: &mut Vec<Quantity>) {
     let len = keys.len();
-    if keys.capacity() > SMALL_TAIL.max(len + len / 8) {
+    if keys.capacity() > SMALL_BUFFER.max(len + len / 8) {
         keys.shrink_to_fit();
         vals.shrink_to_fit();
     }
@@ -1339,7 +1334,7 @@ mod tests {
         let within = |v: &SparseProvenance| {
             let len = v.len();
             v.keys.capacity() == v.vals.capacity()
-                && v.keys.capacity() <= SMALL_TAIL.max(len + len / 8)
+                && v.keys.capacity() <= SMALL_BUFFER.max(len + len / 8)
         };
         let mut grown = SparseProvenance::new();
         for i in 0..1000u32 {

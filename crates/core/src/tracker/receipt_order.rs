@@ -67,6 +67,11 @@ impl ReceiptOrderTracker {
         self.buffers[v.index()].as_pairs()
     }
 
+    /// The queue buffered at `v`.
+    pub fn buffer(&self, v: VertexId) -> &QueueBuffer {
+        &self.buffers[v.index()]
+    }
+
     /// Total number of pairs stored across all buffers.
     pub fn total_pairs(&self) -> usize {
         self.buffers.iter().map(|b| b.len()).sum()

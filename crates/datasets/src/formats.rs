@@ -29,6 +29,8 @@
 //! digits with no sign and no leading zero: the vertex ids `write_csv`
 //! writes) by direct indexing into a table of ids, which it keeps to at most
 //! `4 * len() + 65_536` entries. Every other name goes through a hash map.
+//! It keeps the names by id in one string, so a load makes no allocation
+//! per vertex for them.
 
 use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
@@ -55,6 +57,10 @@ pub const BITCOIN_MIN_FLOW: f64 = 0.0001;
 /// is kept to at most `4 * len() + 65_536` entries, so one large number
 /// such as `999999999` cannot make it huge; a decimal name first seen
 /// beyond that bound lives in the map.
+///
+/// The names themselves, by id, sit end to end in one string, with one end
+/// offset per id, so interning a name allocates nothing of its own (the
+/// hash map still keeps a copy of each name it holds).
 #[derive(Clone, Debug, Default)]
 pub struct VertexInterner {
     /// Every name that has no slot in `by_decimal`.
@@ -62,7 +68,11 @@ pub struct VertexInterner {
     /// `by_decimal[k]` is one more than the id of the decimal name `k`, or
     /// 0 when `k` has no slot here.
     by_decimal: Vec<u32>,
-    names: Vec<String>,
+    /// Every name, in id order, end to end.
+    text: String,
+    /// `ends[i]` is where name `i` ends in `text`; it starts where name
+    /// `i - 1` ends.
+    ends: Vec<usize>,
 }
 
 /// Decimal-table entries allowed per interned name.
@@ -95,9 +105,10 @@ impl VertexInterner {
         if let Some(v) = self.lookup(name, decimal) {
             return v;
         }
-        let v = VertexId::from(self.names.len());
-        self.names.push(name.to_owned());
-        let bound = DECIMAL_TABLE_PER_NAME * self.names.len() + DECIMAL_TABLE_SLACK;
+        let v = VertexId::from(self.ends.len());
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        let bound = DECIMAL_TABLE_PER_NAME * self.ends.len() + DECIMAL_TABLE_SLACK;
         // A slot holds id + 1, so the one id without a successor uses the map.
         match (decimal, v.raw().checked_add(1)) {
             (Some(k), Some(slot)) if k < bound => {
@@ -129,25 +140,29 @@ impl VertexInterner {
 
     /// The raw name of a vertex id, if it exists.
     pub fn name_of(&self, v: VertexId) -> Option<&str> {
-        self.names.get(v.index()).map(String::as_str)
+        let i = v.index();
+        let end = *self.ends.get(i)?;
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        self.text.get(start..end)
     }
 
     /// Number of distinct vertices interned so far.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True if no vertex has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterate over `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (VertexId, &str)> + '_ {
-        self.names
-            .iter()
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
             .enumerate()
-            .map(|(i, n)| (VertexId::from(i), n.as_str()))
+            .map(|(i, (start, &end))| (VertexId::from(i), &self.text[start..end]))
     }
 }
 

@@ -80,12 +80,15 @@
 //! notification, a closed channel, or a blocking receive exceeding
 //! [`RecoveryPolicy::hang_timeout`] — the coordinator:
 //!
-//! 1. **abandons the wounded pool wholesale**: a best-effort `Shutdown`
+//! 1. **retires the wounded pool wholesale**: a best-effort `Shutdown`
 //!    nudges survivors (a hung worker's peers never saw a sentinel
-//!    broadcast), the old channels and join handles are detached, and a
-//!    brand-new generation of workers is spawned on fresh channels — so a
-//!    straggler message from the old generation (say, the *second*
-//!    `WorkerFailed` of a double kill) can never reach the new receiver;
+//!    broadcast), the coordinator joins the old threads that exit within
+//!    [`RecoveryPolicy::hang_timeout`] (one second when that is unset), so
+//!    their trackers are freed before the restore, and detaches the rest
+//!    ([`RecoveryStats::detached_workers`]); then a brand-new generation of
+//!    workers is spawned on fresh channels — so a straggler message from
+//!    the old generation (say, the *second* `WorkerFailed` of a double
+//!    kill) can never reach the new receiver;
 //! 2. **restores** the recovery snapshot exactly like
 //!    [`ShardedEngine::resume_from`] (epoch sync, `Restore` routing,
 //!    counter seeding), and
@@ -129,10 +132,10 @@
 //! Respawns draw on a budget ([`RecoveryPolicy::max_worker_restarts`],
 //! exponential backoff): a worker that dies *during* recovery consumes
 //! another unit, and an exhausted budget falls back to the original
-//! fail-fast poisoning. A permanently hung worker's generation is
-//! detached, not joined — those threads are leaked by design (joining a
-//! hung thread would block recovery forever); their channels die with the
-//! generation and any late sends fail harmlessly.
+//! fail-fast poisoning. A worker still running when the heal stops waiting
+//! for its generation is detached, not joined — such threads are leaked by
+//! design (joining a hung thread would block recovery forever); their
+//! channels die with the generation and any late sends fail harmlessly.
 //!
 //! ## Durable checkpoints
 //!
@@ -210,6 +213,12 @@ const WORKER_TRACE_CAPACITY: usize = 4096;
 /// the bound on the coordinator-side replay buffer (see [`RecoveryPolicy`]).
 const DEFAULT_SNAPSHOT_EVERY: usize = 4096;
 
+/// How long a heal waits for the wounded generation's threads to exit when
+/// [`RecoveryPolicy::hang_timeout`] is unset. A killed pool's survivors exit
+/// as soon as they see the failure broadcast or the `Shutdown` nudge, so
+/// this only bounds the wait for a thread that does not.
+const RETIRE_WAIT: Duration = Duration::from_secs(1);
+
 /// Configuration for supervised worker recovery
 /// ([`ShardedEngine::with_self_healing`]). See the module docs for the
 /// recovery sequence this parameterises.
@@ -233,7 +242,8 @@ pub struct RecoveryPolicy {
     /// Declare a worker *hung* — and recover as if it had died — when a
     /// blocking coordinator receive exceeds this. `None` (the default)
     /// waits forever, which is the right call when worker compute per
-    /// wavefront is unbounded.
+    /// wavefront is unbounded. It also bounds how long a heal waits for
+    /// the wounded generation's threads to exit (one second when `None`).
     pub hang_timeout: Option<Duration>,
 }
 
@@ -266,6 +276,10 @@ pub struct RecoveryStats {
     /// Wall-clock seconds spent across *all* recovery attempts, successful
     /// or not.
     pub total_recovery_secs: f64,
+    /// Threads of wounded generations that had not exited when their heal
+    /// stopped waiting for them (a stalled worker, say), and were detached
+    /// instead of joined.
+    pub detached_workers: usize,
 }
 
 /// Metric handles for the per-shard metrics. Workers register exactly these
@@ -1604,11 +1618,20 @@ impl ShardedEngine {
         for tx in &self.to_shards {
             let _ = tx.send(ToShard::Shutdown);
         }
-        // Replace channels and handles wholesale. The old handles are
-        // detached, not joined — joining a genuinely hung thread would
-        // block recovery forever — and the old generation's `main_tx` now
-        // points at a dropped receiver, so its stragglers (including the
-        // second `WorkerFailed` of a double kill) can never reach us.
+        // Let the wounded generation exit, and free its trackers, before
+        // the new one restores the snapshot. The wait is bounded — joining
+        // a genuinely hung thread would block recovery forever — so a
+        // thread still running at the bound is detached.
+        let bound = self
+            .recovery
+            .as_ref()
+            .and_then(|p| p.hang_timeout)
+            .unwrap_or(RETIRE_WAIT);
+        self.recovery_stats.detached_workers +=
+            retire_pool(std::mem::take(&mut self.handles), bound);
+        // Replace the channels wholesale: the old generation's `main_tx`
+        // now points at a dropped receiver, so its stragglers (including
+        // the second `WorkerFailed` of a double kill) can never reach us.
         let (to_shards, from_shards, handles) = spawn_pool(
             self.ledger.config(),
             self.ledger.num_vertices(),
@@ -1803,6 +1826,24 @@ fn process_one(tracker: &mut dyn ProvenanceTracker, r: &Interaction) -> f64 {
     let newborn = newborn_quantity(tracker.buffered(r.src), r.qty);
     tracker.process(r);
     newborn
+}
+
+/// Join the threads of a retired pool that exit within `bound`, and detach
+/// the rest. Returns how many were detached.
+fn retire_pool(mut handles: Vec<JoinHandle<()>>, bound: Duration) -> usize {
+    let deadline = Instant::now() + bound;
+    loop {
+        let (finished, running): (Vec<_>, Vec<_>) =
+            handles.into_iter().partition(JoinHandle::is_finished);
+        for handle in finished {
+            let _ = handle.join();
+        }
+        handles = running;
+        if handles.is_empty() || Instant::now() >= deadline {
+            return handles.len();
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// Spawn one generation of `num_shards` worker threads wired to fresh

@@ -13,7 +13,8 @@
 //! checkpointing disabled (the in-memory snapshot path), durable files
 //! written across a heal, a worker lost during a durable save, death after
 //! the final wavefront but before the last sync barrier, hang detection,
-//! and budget exhaustion falling back to the poison path.
+//! joining or detaching the wounded generation's threads, and budget
+//! exhaustion falling back to the poison path.
 
 use std::time::Duration;
 
@@ -589,6 +590,68 @@ fn hung_worker_is_detected_and_replaced() {
         engine.process_all(&stream[15..]).unwrap();
         assert_bit_identical(&mut engine, &mut sequential, n, "hung worker");
         assert_eq!(engine.recovery_stats().recoveries, 1);
+    });
+}
+
+/// A receipt-order stream over three shards, and its sequential reference.
+fn lifo_reference(len: u32) -> (PolicyConfig, Vec<Interaction>, ProvenanceEngine) {
+    let config = PolicyConfig::Plain(SelectionPolicy::Lifo);
+    let stream: Vec<Interaction> = (0..len)
+        .map(|i| Interaction::new(i % 8, (i % 8) + 1, f64::from(i), 1.0 + f64::from(i % 3)))
+        .collect();
+    let mut sequential = ProvenanceEngine::new(&config, MAX_VERTICES as usize).unwrap();
+    sequential.process_all(&stream).unwrap();
+    (config, stream, sequential)
+}
+
+/// A heal waits for the wounded generation to exit before it respawns, so
+/// the old trackers are gone before the restore. After a kill every old
+/// thread exits (the dead worker unwinds, its peers see the failure
+/// broadcast), and none is detached.
+#[test]
+fn a_killed_pool_is_joined_before_the_respawn() {
+    with_watchdog(|| {
+        let n = MAX_VERTICES as usize;
+        let (config, stream, mut sequential) = lifo_reference(40);
+        let mut engine = ShardedEngine::new(&config, n, 3)
+            .unwrap()
+            .with_self_healing(healing(3, 8))
+            .unwrap();
+        engine.process_all(&stream[..20]).unwrap();
+        engine.inject_worker_panic(1).unwrap();
+        engine.process_all(&stream[20..]).unwrap();
+        assert_bit_identical(&mut engine, &mut sequential, n, "killed pool");
+        let stats = engine.recovery_stats();
+        assert_eq!((stats.recoveries, stats.detached_workers), (1, 0));
+    });
+}
+
+/// The wait for the wounded generation is bounded by `hang_timeout`: a
+/// worker stalled for 1.5 s is still asleep after 100 ms and is detached,
+/// while its idle peers exit on the `Shutdown` nudge and are joined.
+#[test]
+fn a_stalled_worker_is_detached_and_its_idle_peers_joined() {
+    with_watchdog(|| {
+        let n = MAX_VERTICES as usize;
+        let (config, stream, mut sequential) = lifo_reference(40);
+        let policy = RecoveryPolicy {
+            hang_timeout: Some(Duration::from_millis(100)),
+            ..healing(3, 8)
+        };
+        let mut engine = ShardedEngine::new(&config, n, 3)
+            .unwrap()
+            .with_self_healing(policy)
+            .unwrap();
+        engine.process_all(&stream[..20]).unwrap();
+        // Quiesce first, so no peer holds a wavefront that waits on the
+        // stalled worker; the next query then times out on it alone.
+        engine.buffered_all().unwrap();
+        engine.inject_worker_stall(1, 1500).unwrap();
+        engine.buffered_all().unwrap();
+        engine.process_all(&stream[20..]).unwrap();
+        assert_bit_identical(&mut engine, &mut sequential, n, "stalled worker");
+        let stats = engine.recovery_stats();
+        assert_eq!((stats.recoveries, stats.detached_workers), (1, 1));
     });
 }
 

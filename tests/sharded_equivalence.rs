@@ -80,8 +80,8 @@ fn peak_footprints_match_recorded_values() {
         ("noprov", 640, 1280),
         ("lrb", 268_480, 270_400),
         ("mrb", 223_360, 225_280),
-        ("lifo", 94_080, 96_000),
-        ("fifo", 87_424, 89_344),
+        ("lifo", 47_916, 49_836),
+        ("fifo", 46_620, 48_744),
         ("prop_dense", 13_120, 17_600),
         ("prop_sparse", 32_960, 35_200),
         ("selective_k2", 1_316, 1_984),
